@@ -82,11 +82,12 @@ struct CliOptions
     core::TraceCompression traceCompression =
         core::TraceCompression::Delta;
 
-    /// inprocess | subprocess (--execution or "execution.mode").
+    /// inprocess | subprocess | remote (--execution or
+    /// "execution.mode").
     core::ExecutionMode execution = core::ExecutionMode::InProcess;
-    /// Subprocess shard count (--shards or "execution.shards").
+    /// Shard count (--shards or "execution.shards").
     unsigned shards = 0;
-    /// Worker binary for subprocess mode ("execution.worker_binary";
+    /// Agent binary the executor spawns ("execution.worker_binary";
     /// run_experiment defaults it to its own argv[0]).
     std::string workerBinary;
 
@@ -95,8 +96,6 @@ struct CliOptions
     /// Result-store directory (--cache-dir or "cache.dir"); empty =
     /// the runner's default ("result-cache").
     std::string cacheDir;
-    /// contiguous | lpt (--scheduler or "execution.scheduler").
-    core::ShardScheduler scheduler = core::ShardScheduler::Contiguous;
     /// Coordinator cell dedup (--dedup). Defaults on: identical cells
     /// (same workload/scheme/scheme-aware config hash) simulate once.
     bool dedupCells = true;
@@ -127,7 +126,6 @@ struct CliOptions
     bool shardsExplicit = false;
     bool cacheModeExplicit = false;
     bool cacheDirExplicit = false;
-    bool schedulerExplicit = false;
     bool statsOutExplicit = false;
     bool dropboxExplicit = false;
     bool agentsExplicit = false;
@@ -162,12 +160,13 @@ printCliHelp(const char *prog)
         "                 (default, compressed CASSTF2) or none (raw\n"
         "                 24 B/op CASSTF1); same cycles either way\n"
         "  --execution=E  phase-2 cell execution: inprocess (default,\n"
-        "                 thread pool), subprocess (cells sharded\n"
-        "                 across worker processes) or remote (cells\n"
-        "                 dispatched through a drop-box directory to\n"
+        "                 thread pool), subprocess (one spawned\n"
+        "                 --agent process per shard over a private\n"
+        "                 drop box) or remote (cells dispatched\n"
+        "                 through a shared drop-box directory to\n"
         "                 --agent processes); byte-identical reports\n"
         "                 either way\n"
-        "  --shards=N     worker process count for --execution\n"
+        "  --shards=N     shard count for --execution\n"
         "                 subprocess/remote (default: auto)\n"
         "  --dropbox=D    drop-box directory (the artifact store root)\n"
         "                 for --execution=remote\n"
@@ -185,15 +184,12 @@ printCliHelp(const char *prog)
         "  --cache-gc-mb=N  bound the result store to N MiB after the\n"
         "                 run (oldest-access entries evicted; default\n"
         "                 0: unbounded)\n"
-        "  --scheduler=S  subprocess shard partitioning: contiguous\n"
-        "                 (default) or lpt (cost-model bin packing;\n"
-        "                 byte-identical reports either way)\n"
         "  --dedup=D      coordinator cell dedup: on (default —\n"
         "                 byte-identical cells simulate once and the\n"
         "                 result replicates into every slot) or off\n"
         "                 (every matrix cell dispatches; reports are\n"
         "                 byte-identical either way)\n"
-        "  --stats-out=F  write the run's cache/scheduler telemetry\n"
+        "  --stats-out=F  write the run's cache/schedule telemetry\n"
         "                 JSON to F (separate from the report, which\n"
         "                 stays byte-identical warm vs. cold)\n"
         "  --list         list selectable workload names and exit\n"
@@ -321,21 +317,6 @@ parseCli(int argc, char **argv)
                 v = argv[++i];
             opts.cacheDir = v;
             opts.cacheDirExplicit = true;
-        } else if (value("--scheduler") ||
-                   (arg == "--scheduler" && i + 1 < argc)) {
-            const char *v = value("--scheduler");
-            if (!v)
-                v = argv[++i];
-            try {
-                opts.scheduler = core::shardSchedulerFromName(v);
-            } catch (const std::invalid_argument &) {
-                std::fprintf(stderr,
-                             "invalid --scheduler=%s (expected "
-                             "contiguous or lpt)\n",
-                             v);
-                std::exit(2);
-            }
-            opts.schedulerExplicit = true;
         } else if (value("--dedup") ||
                    (arg == "--dedup" && i + 1 < argc)) {
             const char *v = value("--dedup");
@@ -540,8 +521,6 @@ matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
         opts.cacheMode = spec.cacheMode;
     if (!opts.cacheDirExplicit && !spec.cacheDir.empty())
         opts.cacheDir = spec.cacheDir;
-    if (!opts.schedulerExplicit && spec.schedulerSet)
-        opts.scheduler = spec.scheduler;
     if (!opts.dropboxExplicit && !spec.dropboxDir.empty())
         opts.dropboxDir = spec.dropboxDir;
     if (!opts.agentsExplicit && spec.agentsSet)
@@ -688,7 +667,6 @@ runnerOptionsFromCli(const CliOptions &opts)
     runner_opts.workerBinary = opts.workerBinary;
     runner_opts.cacheMode = opts.cacheMode;
     runner_opts.cacheDir = opts.cacheDir;
-    runner_opts.scheduler = opts.scheduler;
     runner_opts.dedupCells = opts.dedupCells;
     runner_opts.dropboxDir = opts.dropboxDir;
     runner_opts.agents = opts.agents;
@@ -698,7 +676,7 @@ runnerOptionsFromCli(const CliOptions &opts)
     if (runner_opts.execution == core::ExecutionMode::Subprocess &&
         runner_opts.workerBinary.empty()) {
         std::fprintf(stderr,
-                     "--execution subprocess needs a worker binary: "
+                     "--execution subprocess needs an agent binary: "
                      "set \"execution\": {\"worker_binary\": ...} in "
                      "the config, or run through run_experiment "
                      "(which shards onto itself)\n");

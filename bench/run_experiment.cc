@@ -15,21 +15,14 @@
  * The config may be given positionally or via --config=FILE; the
  * other shared CLI flags (--format/--out/--threads/--workloads/
  * --suite/--trace-mode/--trace-compression/--execution/--shards/
- * --cache/--cache-dir/--scheduler/--stats-out) override the config
- * file as usual. Unlike the figure benches there
- * is no built-in matrix: no config is an error.
+ * --cache/--cache-dir/--stats-out) override the config file as
+ * usual. Unlike the figure benches there is no built-in matrix: no
+ * config is an error.
  *
- * The binary doubles as the shard worker of the subprocess executor
- * (it is its own default worker binary):
- *
- *   run_experiment --worker --manifest=shard-0.sm --out=shard-0.crs
- *
- * Worker mode reads a CASSSM1 shard manifest, loads the named
- * artifact snapshots, simulates its cells in-process and writes a
- * CASSCR1 cell-result set; errors go to stderr and a nonzero exit
- * (the coordinator retries the shard in-process).
- *
- * It is also the remote-execution agent and the experiment service:
+ * The binary doubles as the shard agent of both out-of-process
+ * execution modes (it is its own default agent binary: `--execution
+ * subprocess` spawns it per shard over a private drop box) and as the
+ * experiment service:
  *
  *   run_experiment --agent --inbox=/shared/box        # poll for tasks
  *   run_experiment --serve --spool=/shared/spool \
@@ -56,7 +49,6 @@
 #endif
 
 #include "bench/bench_util.hh"
-#include "core/cell_executor.hh"
 #include "core/experiment.hh"
 #include "core/experiment_service.hh"
 #include "core/remote_executor.hh"
@@ -82,36 +74,6 @@ selfBinaryPath(const char *argv0)
     }
 #endif
     return argv0;
-}
-
-/** The `--worker` entry: a shard of someone else's experiment. */
-int
-workerMain(int argc, char **argv)
-{
-    std::string manifest, out;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--worker")
-            continue;
-        if (arg.rfind("--manifest=", 0) == 0)
-            manifest = arg.substr(std::strlen("--manifest="));
-        else if (arg.rfind("--out=", 0) == 0)
-            out = arg.substr(std::strlen("--out="));
-        else {
-            std::fprintf(stderr, "worker mode: unknown option %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (manifest.empty() || out.empty()) {
-        std::fprintf(stderr,
-                     "usage: %s --worker --manifest=FILE --out=FILE\n",
-                     argv[0]);
-        return 2;
-    }
-    return core::runShardWorker(
-        manifest, out, crypto::WorkloadRegistry::global().resolver(),
-        std::cerr);
 }
 
 /** Parse a non-negative integer flag value or die. */
@@ -232,8 +194,6 @@ int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--worker") == 0)
-            return workerMain(argc, argv);
         if (std::strcmp(argv[i], "--agent") == 0)
             return agentMain(argc, argv);
         if (std::strcmp(argv[i], "--submit") == 0)
@@ -251,7 +211,6 @@ main(int argc, char **argv)
             std::strcmp(arg, "--cache") == 0 ||
             std::strcmp(arg, "--cache-dir") == 0 ||
             std::strcmp(arg, "--cache-gc-mb") == 0 ||
-            std::strcmp(arg, "--scheduler") == 0 ||
             std::strcmp(arg, "--dedup") == 0 ||
             std::strcmp(arg, "--stats-out") == 0 ||
             std::strcmp(arg, "--dropbox") == 0 ||
@@ -345,9 +304,9 @@ main(int argc, char **argv)
     core::ExperimentMatrix matrix;
     bench::matrixFromConfig(opts, matrix); // exits on malformed configs
 
-    // This binary implements the --worker contract, so subprocess
-    // execution shards onto itself unless the config names another
-    // worker binary.
+    // This binary implements the --agent contract, so out-of-process
+    // execution spawns itself unless the config names another agent
+    // binary.
     if (opts.workerBinary.empty())
         opts.workerBinary = selfBinaryPath(argv[0]);
 

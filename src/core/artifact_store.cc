@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 
@@ -26,32 +27,89 @@ namespace cassandra::core {
 
 namespace {
 
-/** FNV-1a over raw bytes (the artifact checksum). */
+/** One checksum step: a bijection of `hash` for every `word`. */
 uint64_t
-fnvBytes(const std::vector<uint8_t> &bytes)
+hashStep(uint64_t hash, uint64_t word)
 {
-    uint64_t hash = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        hash ^= b;
-        hash *= 1099511628211ull;
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ull;
+    return hash ^ (hash >> 32);
+}
+
+/**
+ * The artifact checksum (CASSUM2): four independent hashStep lanes,
+ * one per little-endian 8-byte word of each 32-byte block (the last
+ * block zero-padded), folded into one and finished with the length.
+ * Every step is a bijection of its lane, so a change confined to one
+ * word always changes the checksum, and the lanes keep validating a
+ * multi-megabyte snapshot well below the cost of reading it. Feed
+ * chunks whose sizes are multiples of 32 bytes; only the last may be
+ * shorter.
+ */
+class ContentHash
+{
+  public:
+    void
+    update(const uint8_t *p, size_t n)
+    {
+        size_ += n;
+        for (; n >= 32; p += 32, n -= 32)
+            block(p);
+        if (n > 0) {
+            uint8_t last[32] = {};
+            std::memcpy(last, p, n);
+            block(last);
+        }
     }
-    return hash;
+
+    /** The sidecar payload: magic, content hash, content size. */
+    std::string
+    sumText() const
+    {
+        uint64_t hash = lanes_[0];
+        for (int l = 1; l < 4; l++)
+            hash = hashStep(hash, lanes_[l]);
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "CASSUM2 %016" PRIx64 " %" PRIu64
+                      "\n", hashStep(hash, size_), size_);
+        return buf;
+    }
+
+  private:
+    void
+    block(const uint8_t *p)
+    {
+        for (int l = 0; l < 4; l++) {
+            uint64_t word = 0;
+            for (int b = 0; b < 8; b++)
+                word |= static_cast<uint64_t>(p[8 * l + b]) << (8 * b);
+            lanes_[l] = hashStep(lanes_[l], word);
+        }
+    }
+
+    uint64_t lanes_[4] = {1, 2, 3, 4};
+    uint64_t size_ = 0;
+};
+
+/** Sidecar payload for a file, hashed in bounded chunks. */
+std::string
+sumTextOfFile(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    if (!file)
+        throw std::runtime_error("cannot open drop-box object " + path);
+    std::vector<uint8_t> chunk(1 << 20);
+    ContentHash hash;
+    while (file.read(reinterpret_cast<char *>(chunk.data()),
+                     static_cast<std::streamsize>(chunk.size())) ||
+           file.gcount() > 0)
+        hash.update(chunk.data(), static_cast<size_t>(file.gcount()));
+    return hash.sumText();
 }
 
 std::string
 sumKey(const std::string &key)
 {
     return key + ".sum";
-}
-
-/** Sidecar payload: magic, content hash, content size. */
-std::string
-sumText(const std::vector<uint8_t> &bytes)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "CASSUM1 %016" PRIx64 " %zu\n",
-                  fnvBytes(bytes), bytes.size());
-    return buf;
 }
 
 std::vector<uint8_t>
@@ -115,6 +173,12 @@ LocalDirTransport::publish(const std::string &key,
         std::remove(tmp.c_str());
         throw std::runtime_error("cannot publish " + path);
     }
+}
+
+std::string
+LocalDirTransport::localPath(const std::string &key) const
+{
+    return root_ + "/" + key;
 }
 
 std::vector<uint8_t>
@@ -202,66 +266,102 @@ ArtifactStore::artifactKey(uint64_t workload_fingerprint,
     return buf;
 }
 
+std::string
+ArtifactStore::readSum(const std::string &key) const
+{
+    try {
+        const std::vector<uint8_t> raw = transport_->fetch(sumKey(key));
+        return std::string(raw.begin(), raw.end());
+    } catch (const std::exception &) {
+        return "";
+    }
+}
+
+std::string
+ArtifactStore::localFile(const std::string &key) const
+{
+    const std::string path = transport_->localPath(key);
+    if (path.empty())
+        throw std::logic_error(
+            "drop-box artifacts need a directory transport");
+    return path;
+}
+
+void
+ArtifactStore::evict(const std::string &key) const
+{
+    corruptRejected_.fetch_add(1, std::memory_order_relaxed);
+    transport_->remove(sumKey(key));
+    transport_->remove(key);
+}
+
 bool
 ArtifactStore::hasValidArtifact(const std::string &key) const
 {
     if (!transport_->exists(key) || !transport_->exists(sumKey(key)))
         return false;
     try {
-        const std::vector<uint8_t> bytes = transport_->fetch(key);
-        const std::vector<uint8_t> sum = transport_->fetch(sumKey(key));
-        return std::string(sum.begin(), sum.end()) == sumText(bytes);
+        return readSum(key) == sumTextOfFile(localFile(key));
     } catch (const std::exception &) {
         return false;
     }
 }
 
 bool
-ArtifactStore::publishArtifactOnce(const std::string &key,
-                                   const std::vector<uint8_t> &bytes)
+ArtifactStore::publishArtifactOnce(
+    const std::string &key,
+    const std::function<void(const std::string &path)> &save)
 {
     if (hasValidArtifact(key)) {
         artifactReuses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    if (transport_->exists(key)) {
-        // Present but failed validation: a torn copy or bit rot.
-        // Evict both halves so no agent trusts it mid-upload.
-        corruptRejected_.fetch_add(1, std::memory_order_relaxed);
-        transport_->remove(sumKey(key));
-        transport_->remove(key);
+    // Present but failed validation: a torn copy or bit rot. Evict
+    // both halves so no agent trusts it mid-upload.
+    if (transport_->exists(key))
+        evict(key);
+
+    // Stage the object beside its key, hash it there and publish it
+    // by rename (atomic, and never a whole snapshot in memory).
+    static std::atomic<uint64_t> sequence{0};
+    const std::string local = localFile(key);
+    const std::string stage = local + ".tmp-" + processUniqueSuffix() +
+        "-" + std::to_string(sequence.fetch_add(1));
+    std::string sum;
+    try {
+        ensureDirectories(dirnameOf(stage));
+        save(stage);
+        sum = sumTextOfFile(stage);
+        // Object first, sidecar last: a validating reader only accepts
+        // the pair once both atomic publishes have landed.
+        if (std::rename(stage.c_str(), local.c_str()) != 0)
+            throw std::runtime_error("cannot publish " + local);
+    } catch (...) {
+        std::remove(stage.c_str());
+        throw;
     }
-    // Object first, sidecar last: a validating reader only accepts the
-    // pair once both atomic publishes have landed.
-    transport_->publish(key, bytes);
-    transport_->publish(sumKey(key), toBytes(sumText(bytes)));
+    transport_->publish(sumKey(key), toBytes(sum));
     artifactUploads_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
-std::vector<uint8_t>
+std::string
 ArtifactStore::fetchArtifact(const std::string &key) const
 {
-    const std::vector<uint8_t> bytes = transport_->fetch(key);
+    const std::string local = localFile(key);
+    if (!transport_->exists(key))
+        throw std::runtime_error("drop-box artifact " + key +
+                                 " is missing");
     artifactFetches_.fetch_add(1, std::memory_order_relaxed);
-    std::string sum;
-    try {
-        const std::vector<uint8_t> raw = transport_->fetch(sumKey(key));
-        sum.assign(raw.begin(), raw.end());
-    } catch (const std::exception &) {
-        // fall through to the mismatch path
-    }
-    if (sum != sumText(bytes)) {
+    if (readSum(key) != sumTextOfFile(local)) {
         // Evict the corrupt pair so the next publishArtifactOnce
         // re-uploads instead of endlessly reusing a bad copy.
-        corruptRejected_.fetch_add(1, std::memory_order_relaxed);
-        transport_->remove(sumKey(key));
-        transport_->remove(key);
+        evict(key);
         throw ArtifactFormatError("drop-box artifact " + key +
                                   " failed checksum validation "
                                   "(corrupt or torn copy); evicted");
     }
-    return bytes;
+    return local;
 }
 
 void
@@ -341,28 +441,12 @@ ArtifactStore::withdrawTask(const std::string &task)
     transport_->remove("tasks/inbox/" + task + ".sm");
 }
 
-void
-ArtifactStore::requestAgentStop()
-{
-    transport_->publish("agents/stop", toBytes("stop\n"));
-}
-
-void
-ArtifactStore::clearAgentStop()
-{
-    transport_->remove("agents/stop");
-}
-
 bool
 ArtifactStore::agentStopRequested() const
 {
     return transport_->exists("agents/stop");
 }
 
-namespace {
-
-/** Pid parsed from a claim token ("<pid>-<seq>"); 0 when the token is
- * not pid-shaped (random-token platforms — never treated as dead). */
 long
 tokenPid(const std::string &token)
 {
@@ -374,6 +458,8 @@ tokenPid(const std::string &token)
         return 0;
     return std::strtol(head.c_str(), nullptr, 10);
 }
+
+namespace {
 
 bool
 pidIsDead(long pid)

@@ -3,12 +3,12 @@
  * Content-addressed artifact store ("drop box") for multi-process and
  * multi-host shard dispatch.
  *
- * The coordinator/worker protocol of the subprocess executor is
- * already host-agnostic: CASSSM1 manifests plus self-contained CASSAW4
- * snapshots in, CASSCR1 result sets out. What ties it to one machine
- * is the scratch directory whose paths only make sense inside one
- * process tree. The ArtifactStore replaces that scratch directory with
- * a shared drop box:
+ * The coordinator/agent protocol is host-agnostic: CASSSM2 manifests
+ * plus self-contained CASSAW4 snapshots in, CASSCR1 result sets out,
+ * all addressed by store keys rather than paths. The ArtifactStore is
+ * the drop box they travel through — private to one run under
+ * `--execution subprocess`, shared across runs and hosts under
+ * `--execution remote`:
  *
  *   <root>/artifacts/aw-<workload fp>-v<format>.aw   snapshots
  *   <root>/artifacts/...aw.sum                       checksum sidecars
@@ -49,9 +49,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "core/byte_io.hh"
 
 namespace cassandra::core {
 
@@ -64,9 +67,6 @@ class ArtifactTransport
 {
   public:
     virtual ~ArtifactTransport() = default;
-
-    /** Human-readable endpoint ("dir:/path/to/box"). */
-    virtual std::string endpoint() const = 0;
 
     virtual bool exists(const std::string &key) const = 0;
 
@@ -96,6 +96,14 @@ class ArtifactTransport
     /** Seconds since epoch of the object's last modification; 0 when
      * missing or unsupported (disables age-based GC for the key). */
     virtual int64_t mtime(const std::string &key) const = 0;
+
+    /** Filesystem path of `key` when objects are local files (read,
+     * hashed and published in place); empty otherwise. */
+    virtual std::string localPath(const std::string &key) const
+    {
+        (void)key;
+        return "";
+    }
 };
 
 /** A shared directory as the drop box (local disk, NFS, ...). */
@@ -107,7 +115,7 @@ class LocalDirTransport : public ArtifactTransport
 
     const std::string &root() const { return root_; }
 
-    std::string endpoint() const override { return "dir:" + root_; }
+    std::string localPath(const std::string &key) const override;
     bool exists(const std::string &key) const override;
     void publish(const std::string &key,
                  const std::vector<uint8_t> &bytes) override;
@@ -170,22 +178,40 @@ class ArtifactStore
     bool hasValidArtifact(const std::string &key) const;
 
     /**
-     * Upload `bytes` under `key` unless a valid copy already exists.
+     * Upload a snapshot under `key` unless a valid copy already exists.
+     * `save(path)` writes the object to a staging file beside the key
+     * (it only runs when an upload is needed), which is then published
+     * by rename, so a multi-megabyte snapshot is never held in memory.
+     * Artifacts need a transport with local files (localPath).
      * Returns true when this call uploaded (counts an upload), false
      * when the presence check saved the transfer (counts a reuse). A
      * corrupt existing copy is evicted and re-uploaded.
      */
-    bool publishArtifactOnce(const std::string &key,
-                             const std::vector<uint8_t> &bytes);
+    bool
+    publishArtifactOnce(const std::string &key,
+                        const std::function<void(const std::string &path)>
+                            &save);
+
+    /** publishArtifactOnce for bytes already in hand. */
+    bool
+    publishArtifactOnce(const std::string &key,
+                        const std::vector<uint8_t> &bytes)
+    {
+        return publishArtifactOnce(key, [&](const std::string &path) {
+            writeFileBytes(path, bytes);
+        });
+    }
 
     /**
-     * Fetch + checksum-validate an artifact.
+     * Checksum-validate an artifact in place and return the local path
+     * to read it from (objects are immutable once published, since
+     * every publish is a rename).
      * @throws ArtifactFormatError when the checksum (or sidecar) does
      *         not match the bytes — the corrupt copy is evicted first,
      *         so the next publisher re-uploads; std::runtime_error
      *         when the key is missing entirely.
      */
-    std::vector<uint8_t> fetchArtifact(const std::string &key) const;
+    std::string fetchArtifact(const std::string &key) const;
 
     // -- task plumbing (manifests in, results out) -------------------
 
@@ -232,10 +258,8 @@ class ArtifactStore
      */
     void withdrawTask(const std::string &task);
 
-    /** Raise (or clear) the flag that makes agents exit their poll
+    /** Whether the `agents/stop` flag is up: agents exit their poll
      * loop after the current task. */
-    void requestAgentStop();
-    void clearAgentStop();
     bool agentStopRequested() const;
 
     // -- GC ----------------------------------------------------------
@@ -252,6 +276,14 @@ class ArtifactStore
     Stats stats() const;
 
   private:
+    /** The sidecar text stored for `key` ("" when unreadable). */
+    std::string readSum(const std::string &key) const;
+    /** Local file of `key`; throws std::logic_error for transports
+     * without local files. */
+    std::string localFile(const std::string &key) const;
+    /** Drop a corrupt object and its sidecar (counted). */
+    void evict(const std::string &key) const;
+
     std::shared_ptr<ArtifactTransport> transport_;
     std::atomic<uint64_t> artifactUploads_{0};
     std::atomic<uint64_t> artifactReuses_{0};
@@ -270,6 +302,10 @@ class ArtifactStore
  * across agents inside one process.
  */
 std::string makeAgentToken();
+
+/** Pid parsed from an agent token ("<pid>-<seq>"); 0 when the token
+ * is not pid-shaped (random-token platforms). */
+long tokenPid(const std::string &token);
 
 } // namespace cassandra::core
 

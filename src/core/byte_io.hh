@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,18 +34,26 @@ writeFileBytes(const std::string &path, const std::vector<uint8_t> &bytes)
         throw std::runtime_error("short write to " + path);
 }
 
-/** Slurp a whole file; throws std::runtime_error naming `what` when
- * the file cannot be opened. */
+/** Slurp a whole file in one read; throws std::runtime_error naming
+ * `what` when the file cannot be opened or read. */
 inline std::vector<uint8_t>
 readFileBytes(const std::string &path, const char *what)
 {
-    std::ifstream file(path, std::ios::binary);
+    std::ifstream file(path, std::ios::binary | std::ios::ate);
     if (!file)
         throw std::runtime_error(std::string("cannot open ") + what +
                                  " " + path);
-    return std::vector<uint8_t>(
-        (std::istreambuf_iterator<char>(file)),
-        std::istreambuf_iterator<char>());
+    const std::streamoff size = file.tellg();
+    if (size < 0)
+        throw std::runtime_error(std::string("cannot size ") + what +
+                                 " " + path);
+    std::vector<uint8_t> bytes(static_cast<size_t>(size));
+    file.seekg(0);
+    if (!file.read(reinterpret_cast<char *>(bytes.data()),
+                   static_cast<std::streamsize>(bytes.size())))
+        throw std::runtime_error(std::string("short read from ") + what +
+                                 " " + path);
+    return bytes;
 }
 
 /** Little-endian byte writer for the container formats. */

@@ -9,28 +9,24 @@
  * byte-identical results in cell order, regardless of threads, shard
  * counts or scheduling.
  *
- * Two backends ship here:
+ * Two backends ship:
  *
- *  - InProcessExecutor runs the cells over a thread pool in this
- *    process (the historical ExperimentRunner behavior).
+ *  - InProcessExecutor (here) runs the cells over a thread pool in
+ *    this process.
  *
- *  - SubprocessShardExecutor partitions the cells into shards and
- *    spawns one worker process per shard (`<worker_binary> --worker
- *    --manifest=F --out=F`, the contract run_experiment implements).
- *    Each worker receives a CASSSM1 shard manifest naming its cells
- *    and the serialized `.aw` artifact snapshot of every workload it
- *    touches, simulates its cells and writes a CASSCR1 cell-result
- *    set (core/serialize); the coordinator merges the partial sets
- *    back into one result vector by global cell index, so any shard
- *    partition — and any completion order — yields the identical
- *    report. A crashed worker (nonzero exit, missing or corrupt
- *    output) has its cells retried once on an in-process executor;
- *    only when that retry also fails does the run fail, with a
- *    WorkerError carrying the shard's stderr.
+ *  - RemoteShardExecutor (core/remote_executor.hh) is the one
+ *    out-of-process backend. It partitions the cells into shards with
+ *    the LPT scheduler below, ships each shard as a CASSSM2 manifest
+ *    plus the CASSAW4 snapshots it needs through a drop box, and
+ *    merges the agents' CASSCR1 result sets back by global cell
+ *    index, so any shard partition — and any completion order —
+ *    yields the identical report. Failed shards are retried once
+ *    in-process; only when that retry also fails does the run fail,
+ *    with a WorkerError carrying the agent's stderr.
  *
- * This seam is what multi-host dispatch will plug into next: a future
- * executor can ship the same manifests + snapshots to remote hosts
- * and merge the same CASSCR1 sets.
+ * ExecutionMode::Subprocess is that backend over a private drop box
+ * with one spawned agent per shard; ExecutionMode::Remote is the same
+ * backend over a shared box (makeCellExecutor picks).
  */
 
 #ifndef CASSANDRA_CORE_CELL_EXECUTOR_HH
@@ -38,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -76,7 +71,6 @@ using ArtifactMap = std::map<std::string, AnalyzedWorkload::Ptr>;
 struct ScheduleSummary
 {
     bool valid = false;
-    ShardScheduler scheduler = ShardScheduler::Contiguous;
     /** Estimated cost (model units) assigned to each shard. */
     std::vector<uint64_t> shardCosts;
 };
@@ -95,18 +89,16 @@ estimateCellCosts(const std::vector<PlannedCell> &cells,
                   const ResultStore *store);
 
 /**
- * Partition cell indices 0..costs.size() into `shards` groups.
- * Contiguous reproduces the historical equal-size blocks; Lpt sorts
- * by descending cost and greedily assigns each cell to the least-
- * loaded shard (longest-processing-time bin packing), so one huge
- * cell no longer serializes a shard behind a pile of cheap ones.
- * Deterministic (stable tie-breaks); with shards <= cells, no shard
- * is left empty. The merged report is byte-identical either way —
- * results merge by global index.
+ * Partition cell indices 0..costs.size() into `shards` groups by
+ * longest-processing-time bin packing: descending cost, each cell onto
+ * the least-loaded shard, so one huge cell never serializes a shard
+ * behind a pile of cheap ones. Deterministic (stable tie-breaks);
+ * with shards <= cells, no shard is left empty; indices ascend inside
+ * each shard. The partition never shows in the report — results merge
+ * by global index.
  */
 std::vector<std::vector<uint32_t>>
-scheduleShards(ShardScheduler scheduler,
-               const std::vector<uint64_t> &costs, unsigned shards);
+scheduleShards(const std::vector<uint64_t> &costs, unsigned shards);
 
 /** Executes planned cells over shared artifacts. */
 class CellExecutor
@@ -114,7 +106,7 @@ class CellExecutor
   public:
     virtual ~CellExecutor() = default;
 
-    /** Diagnostic backend name ("inprocess", "subprocess", ...). */
+    /** Diagnostic backend name ("inprocess", "remote", ...). */
     virtual const char *name() const = 0;
 
     /**
@@ -149,9 +141,10 @@ class InProcessExecutor : public CellExecutor
 };
 
 /**
- * A worker process failed and its cells could not be recovered: the
- * shard crashed (or produced corrupt output) and the in-process retry
- * failed too. what() includes the shard's captured stderr.
+ * A shard failed and its cells could not be recovered: the agent
+ * crashed, reported an error, returned corrupt output or missed the
+ * deadline, and the in-process retry was disabled or failed too.
+ * what() includes the agent's captured stderr when there is one.
  */
 class WorkerError : public std::runtime_error
 {
@@ -160,7 +153,7 @@ class WorkerError : public std::runtime_error
                 std::string stderr_text);
 
     unsigned shard() const { return shard_; }
-    /** Captured stderr of the failed worker (tail, bounded). */
+    /** Captured stderr of the failed agent (tail, bounded). */
     const std::string &stderrText() const { return stderrText_; }
 
   private:
@@ -169,115 +162,40 @@ class WorkerError : public std::runtime_error
 };
 
 /**
- * One shard's work order, serialized as a CASSSM1 manifest file: the
- * artifact snapshot per workload, the planned cells with their global
- * indices, and the worker's thread budget.
+ * One shard's work order, serialized as a CASSSM manifest: the
+ * drop-box artifact key per workload, the planned cells with their
+ * global indices, and the agent's thread budget.
  */
 struct ShardManifest
 {
     uint32_t shardIndex = 0;
-    /** Worker thread-pool size (pre-capped by the coordinator so
+    /** Agent thread-pool size (pre-capped by the coordinator so
      * shards x threads never oversubscribes the machine). */
     uint32_t workerThreads = 1;
-    /** Directory for rehydrated trace streams in the worker. */
-    std::string streamDir;
-    /** Workload name -> .aw snapshot path, for every cell workload. */
+    /** Workload name -> drop-box artifact key, for every cell
+     * workload. */
     std::vector<std::pair<std::string, std::string>> artifacts;
     /** Global cell index of cells[i] in the coordinator's plan. */
     std::vector<uint32_t> indices;
     std::vector<PlannedCell> cells;
 };
 
+/** Serialize a manifest (magic "CASSSM2\n"). */
 std::vector<uint8_t> packShardManifest(const ShardManifest &manifest);
 
 /**
- * Parse CASSSM1 bytes back into a manifest.
+ * Parse CASSSM2 bytes back into a manifest.
  * @throws ArtifactFormatError on bad magic/version,
  *         std::invalid_argument on truncated or inconsistent bytes.
  */
 ShardManifest unpackShardManifest(const std::vector<uint8_t> &bytes);
 
-void saveShardManifest(const ShardManifest &manifest,
-                       const std::string &path);
-ShardManifest loadShardManifest(const std::string &path);
-
 /**
- * The worker side of the subprocess contract (what `run_experiment
- * --worker` runs): load the manifest, rehydrate the artifact
- * snapshots through `resolver`, execute the cells in-process and
- * write the CASSCR1 cell-result set to `out_path`. Errors are
- * reported on `err` and turn into a nonzero return (the coordinator
- * retries the shard in-process). Honors the CASSANDRA_TEST_WORKER_CRASH
- * fault-injection hook: a worker whose shard index matches the
- * variable exits early with status 42 (exercises the retry path).
- */
-int runShardWorker(const std::string &manifest_path,
-                   const std::string &out_path,
-                   const AnalysisCache::Resolver &resolver,
-                   std::ostream &err);
-
-/**
- * Phase-2 cells sharded across worker subprocesses (POSIX only;
- * execute() throws std::runtime_error elsewhere).
- */
-class SubprocessShardExecutor : public CellExecutor
-{
-  public:
-    struct Options
-    {
-        /** Shard count; 0 = auto (RunnerOptions::resolveShards). */
-        unsigned shards = 0;
-        /** Binary implementing the --worker contract (required). */
-        std::string workerBinary;
-        /** Coordinator-side thread request; per-worker budgets derive
-         * from it via RunnerOptions::resolveThreads(work, shards). */
-        unsigned threads = 0;
-        /** Scratch directory; empty = per-process temp dir. Scratch
-         * files are removed after a successful run and kept (with a
-         * stderr note naming the directory) when the run fails, so
-         * manifests and worker stderr survive for debugging. */
-        std::string scratchDir;
-        /** Retry a crashed shard's cells in-process before failing.
-         * Disabled, a crashed shard raises WorkerError directly. */
-        bool retryInProcess = true;
-        /** Shard partitioning policy (see scheduleShards). */
-        ShardScheduler scheduler = ShardScheduler::Contiguous;
-        /** Prior-cycles source for the Lpt cost model; null falls
-         * back to the static ops-count estimate for every cell. */
-        std::shared_ptr<const ResultStore> costSource;
-    };
-
-    /** Cumulative backend counters (observable in tests/telemetry). */
-    struct Stats
-    {
-        uint64_t shardsLaunched = 0;
-        uint64_t shardsFailed = 0;
-        uint64_t cellsRetried = 0; ///< recovered on the in-process path
-    };
-
-    /** @throws std::invalid_argument when workerBinary is empty. */
-    explicit SubprocessShardExecutor(Options options);
-
-    const char *name() const override { return "subprocess"; }
-    std::vector<CellResult>
-    execute(const std::vector<PlannedCell> &cells,
-            const ArtifactMap &artifacts) override;
-
-    ScheduleSummary lastSchedule() const override { return schedule_; }
-
-    const Stats &stats() const { return stats_; }
-
-  private:
-    Options options_;
-    Stats stats_;
-    ScheduleSummary schedule_;
-};
-
-/**
- * Executor for RunnerOptions::execution: InProcessExecutor or
- * SubprocessShardExecutor configured from the options. `costSource`
- * (may be null) feeds the subprocess executor's cost model with prior
- * cycles from the result store.
+ * Executor for RunnerOptions::execution: InProcessExecutor, or a
+ * RemoteShardExecutor over a private drop box (Subprocess) or the
+ * shared one in RunnerOptions::dropboxDir (Remote). `costSource` (may
+ * be null) feeds the shard scheduler's cost model with prior cycles
+ * from the result store.
  */
 std::shared_ptr<CellExecutor>
 makeCellExecutor(const RunnerOptions &options,

@@ -85,24 +85,6 @@ cacheModeFromName(const std::string &name)
         "\" (expected off, on or readonly)");
 }
 
-const char *
-shardSchedulerName(ShardScheduler scheduler)
-{
-    return scheduler == ShardScheduler::Lpt ? "lpt" : "contiguous";
-}
-
-ShardScheduler
-shardSchedulerFromName(const std::string &name)
-{
-    if (name == "contiguous")
-        return ShardScheduler::Contiguous;
-    if (name == "lpt")
-        return ShardScheduler::Lpt;
-    throw std::invalid_argument(
-        "unknown shard scheduler \"" + name +
-        "\" (expected contiguous or lpt)");
-}
-
 unsigned
 RunnerOptions::resolveThreads(size_t work) const
 {
@@ -424,8 +406,6 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
         const ScheduleSummary schedule = executor_->lastSchedule();
         if (schedule.valid) {
             exp.telemetry.scheduled = true;
-            exp.telemetry.scheduler =
-                shardSchedulerName(schedule.scheduler);
             exp.telemetry.shardCosts = schedule.shardCosts;
         }
     }
@@ -931,7 +911,6 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
     } else {
         os << "{";
         JsonObject o(os, 4);
-        o.field("scheduler", telemetry.scheduler);
         o.field("shards",
                 static_cast<uint64_t>(telemetry.shardCosts.size()));
         std::ostream &costs_os = o.object("shard_costs");

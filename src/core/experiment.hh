@@ -10,15 +10,15 @@
  * in two phases. Phase 1 analyzes each distinct workload exactly once
  * (concurrently across workloads, memoized in an AnalysisCache);
  * phase 2 hands the planned cells to a pluggable core::CellExecutor —
- * the in-process thread pool by default, or the subprocess shard
+ * the in-process thread pool by default, or the out-of-process shard
  * executor (RunnerOptions::execution) which partitions cells across
- * `run_experiment --worker` child processes over serialized artifact
- * snapshots. The runner itself is a pure coordinator: plan cells ->
- * acquire artifacts -> dispatch -> merge. Each cell still builds its
- * own core, so the result vector is deterministic for any thread or
- * shard count and always in matrix order (workload-major, then
- * scheme, then config) — executors are required to be byte-identical
- * to one another.
+ * `run_experiment --agent` processes over serialized artifact
+ * snapshots in a drop box. The runner itself is a pure coordinator:
+ * plan cells -> acquire artifacts -> dispatch -> merge. Each cell
+ * still builds its own core, so the result vector is deterministic
+ * for any thread or shard count and always in matrix order
+ * (workload-major, then scheme, then config) — executors are
+ * required to be byte-identical to one another.
  *
  *   core::ExperimentMatrix m;
  *   m.workloads = {"ChaCha20_ct", "kyber768"};
@@ -140,9 +140,8 @@ struct RunTelemetry
         return max;
     }
 
-    /** A subprocess shard schedule was computed this run. */
+    /** A shard schedule was computed this run. */
     bool scheduled = false;
-    std::string scheduler; ///< "contiguous" or "lpt"
     /** Estimated cost (model units) assigned to each shard. */
     std::vector<uint64_t> shardCosts;
 
@@ -199,9 +198,10 @@ enum class ExecutionMode
 {
     /** Thread pool inside this process (the default). */
     InProcess,
-    /** Cells sharded across `run_experiment --worker` subprocesses. */
+    /** Cells sharded across `run_experiment --agent` processes the
+     * run spawns over a private drop box (core/remote_executor.hh). */
     Subprocess,
-    /** Cells dispatched through an ArtifactStore drop box to
+    /** Cells dispatched through a shared ArtifactStore drop box to
      * `run_experiment --agent` processes (core/remote_executor.hh). */
     Remote,
 };
@@ -234,24 +234,6 @@ const char *cacheModeName(CacheMode mode);
  */
 CacheMode cacheModeFromName(const std::string &name);
 
-/** How SubprocessShardExecutor partitions cells across shards. */
-enum class ShardScheduler
-{
-    /** Equal-size contiguous index blocks (the default). */
-    Contiguous,
-    /** Longest-processing-time bin packing over the per-cell cost
-     * model (prior cached cycles, ops-count fallback). */
-    Lpt,
-};
-
-const char *shardSchedulerName(ShardScheduler scheduler);
-
-/**
- * Parse a scheduler name ("contiguous" or "lpt").
- * @throws std::invalid_argument on anything else.
- */
-ShardScheduler shardSchedulerFromName(const std::string &name);
-
 /** Runner knobs. */
 struct RunnerOptions
 {
@@ -275,23 +257,23 @@ struct RunnerOptions
     ExecutionMode execution = ExecutionMode::InProcess;
 
     /**
-     * Shard (worker process) count for subprocess execution; 0 means
+     * Shard (task) count for subprocess/remote execution; 0 means
      * auto (see resolveShards). Ignored in-process.
      */
     unsigned shards = 0;
 
     /**
-     * Binary spawned per shard in subprocess mode; it must implement
-     * the `--worker --manifest=F --out=F` contract (run_experiment
-     * does). Required when execution == Subprocess.
+     * Agent binary the executor spawns; it must implement the
+     * `--agent --inbox=DIR` contract (run_experiment does). Required
+     * for subprocess execution and for remote execution with agents.
      */
     std::string workerBinary;
 
     /**
-     * Directory for shard scratch files (artifact snapshots,
-     * manifests, worker outputs); empty picks a per-process temp
-     * directory. The executor deletes its scratch files after a
-     * successful run and keeps them for debugging when the run fails.
+     * Parent directory of the private drop box of subprocess
+     * execution (snapshots, manifests, agent stderr and scratch);
+     * empty picks the temp directory. The box is deleted after a
+     * successful run and kept for debugging when the run fails.
      */
     std::string scratchDir;
 
@@ -305,14 +287,6 @@ struct RunnerOptions
 
     /** Result-store directory; empty defaults to "result-cache". */
     std::string cacheDir;
-
-    /**
-     * Shard partitioning policy for subprocess execution: Contiguous
-     * equal blocks (default) or Lpt cost-model bin packing. Merging by
-     * global index makes the choice invisible in the report (ignored
-     * in-process, where the thread pool self-balances).
-     */
-    ShardScheduler scheduler = ShardScheduler::Contiguous;
 
     /**
      * Drop-box directory for remote execution (the ArtifactStore
@@ -388,8 +362,8 @@ class ExperimentRunner
                               RunnerOptions options = {});
     /**
      * Inject a custom phase-2 executor (null builds one from
-     * options.execution: InProcessExecutor or SubprocessShardExecutor
-     * from core/cell_executor.hh).
+     * options.execution through makeCellExecutor in
+     * core/cell_executor.hh).
      */
     ExperimentRunner(std::shared_ptr<AnalysisCache> cache,
                      RunnerOptions options,

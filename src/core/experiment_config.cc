@@ -600,16 +600,6 @@ parseExperimentSpec(const std::string &json)
                     expectKind(ev, JsonValue::Kind::String, at,
                                "a string");
                     spec.workerBinary = ev.string;
-                } else if (ekey == "scheduler") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    try {
-                        spec.scheduler =
-                            shardSchedulerFromName(ev.string);
-                    } catch (const std::invalid_argument &e) {
-                        schemaFail(at, e.what());
-                    }
-                    spec.schedulerSet = true;
                 } else if (ekey == "dropbox") {
                     expectKind(ev, JsonValue::Kind::String, at,
                                "a string");

@@ -22,7 +22,6 @@
  *     "report": {"format": "json", "out": "fig7.json"},
  *     "artifacts": {"dir": "aw-cache", "save": true},
  *     "execution": {"mode": "subprocess", "shards": 4,
- *                   "scheduler": "lpt",
  *                   "worker_binary": "./build/bench/run_experiment"},
  *     "cache": {"mode": "on", "dir": "result-cache"}
  *   }
@@ -83,8 +82,9 @@ struct ExperimentSpec
     bool traceCompressionSet = false;
     /**
      * Phase-2 cell execution backend ("execution": {"mode":
-     * "inprocess" | "subprocess"}). Subprocess mode shards the cells
-     * across `worker_binary --worker` child processes.
+     * "inprocess" | "subprocess" | "remote"}). Subprocess mode shards
+     * the cells across `worker_binary --agent` processes it spawns
+     * over a private drop box.
      */
     ExecutionMode executionMode = ExecutionMode::InProcess;
     /** Whether the config spelled execution.mode. */
@@ -93,8 +93,9 @@ struct ExperimentSpec
     unsigned shards = 0;
     /** Whether the config spelled execution.shards. */
     bool shardsSet = false;
-    /** Worker binary for subprocess execution; empty = caller's
-     * default (run_experiment uses itself). */
+    /** Agent binary for subprocess execution (and spawned remote
+     * agents); empty = caller's default (run_experiment uses
+     * itself). */
     std::string workerBinary;
     /**
      * Persistent cell-result store ("cache": {"mode": "off" | "on" |
@@ -107,14 +108,6 @@ struct ExperimentSpec
     /** Result-store directory ("cache": {"dir": ...}); empty =
      * the runner's default ("result-cache"). */
     std::string cacheDir;
-    /**
-     * Shard partitioning policy ("execution": {"scheduler":
-     * "contiguous" | "lpt"}). Lpt bin-packs cells onto shards by the
-     * recorded cost model; reports stay byte-identical either way.
-     */
-    ShardScheduler scheduler = ShardScheduler::Contiguous;
-    /** Whether the config spelled execution.scheduler. */
-    bool schedulerSet = false;
     /** Drop-box directory for remote execution ("execution":
      * {"dropbox": ...}); required when the mode is "remote". */
     std::string dropboxDir;

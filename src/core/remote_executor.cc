@@ -6,6 +6,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -17,10 +20,12 @@
 
 #if !defined(_WIN32)
 #define CASSANDRA_POSIX_AGENTS 1
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+extern char **environ;
 #endif
 
 namespace cassandra::core {
@@ -38,6 +43,21 @@ tempRoot()
 {
     const char *tmp = std::getenv("TMPDIR");
     return (tmp && *tmp) ? tmp : "/tmp";
+}
+
+/** Bounded tail of a captured stderr file ("" when missing). */
+std::string
+stderrTail(const std::string &path)
+{
+    constexpr size_t maxBytes = 8192;
+    std::ifstream file(path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+    if (text.size() > maxBytes)
+        text = "..." + text.substr(text.size() - maxBytes);
+    while (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    return text;
 }
 
 } // namespace
@@ -85,18 +105,17 @@ runShardAgent(const AgentOptions &options,
             try {
                 const ShardManifest manifest = unpackShardManifest(
                     store.fetchClaimedTask(task, token));
-                // Same fault hook the subprocess workers honor, so
-                // the coordinator retry path is testable here too.
+                // Fault hook for the dead-agent tests: die holding the
+                // claim, like a hard crash, so only the coordinator's
+                // reaping can notice.
                 if (const char *crash =
                         std::getenv("CASSANDRA_TEST_WORKER_CRASH")) {
                     if (std::to_string(manifest.shardIndex) == crash) {
-                        store.publishError(
-                            task, token,
-                            "injected crash "
-                            "(CASSANDRA_TEST_WORKER_CRASH)");
                         log << "agent " << token << ": " << task
-                            << " injected crash" << std::endl;
-                        continue;
+                            << " injected crash "
+                               "(CASSANDRA_TEST_WORKER_CRASH)"
+                            << std::endl;
+                        std::_Exit(42);
                     }
                 }
                 ArtifactMap artifacts;
@@ -105,7 +124,7 @@ runShardAgent(const AgentOptions &options,
                     if (it == by_key.end())
                         it = by_key
                                  .emplace(key,
-                                          unpackAnalyzedWorkload(
+                                          loadAnalyzedWorkload(
                                               store.fetchArtifact(key),
                                               resolver, scratch))
                                  .first;
@@ -149,19 +168,14 @@ runShardAgent(const AgentOptions &options,
 RemoteShardExecutor::RemoteShardExecutor(Options options)
     : options_(std::move(options))
 {
-    if (options_.store)
-        store_ = options_.store;
-    else if (!options_.dropboxDir.empty())
+    if (!options_.dropboxDir.empty())
         store_ = std::make_shared<ArtifactStore>(options_.dropboxDir);
-    else
+    // No shared box: every run spawns its agents into a private one.
+    if ((options_.agents > 0 || !store_) && options_.agentBinary.empty())
         throw std::invalid_argument(
-            "remote execution needs a drop box (set "
-            "RunnerOptions::dropboxDir or \"execution\": "
-            "{\"dropbox\": ...})");
-    if (options_.agents > 0 && options_.agentBinary.empty())
-        throw std::invalid_argument(
-            "remote execution with spawned agents needs an agent "
-            "binary (the run_experiment binary)");
+            "out-of-process execution needs an agent binary to spawn "
+            "(set RunnerOptions::workerBinary or \"execution\": "
+            "{\"worker_binary\": ...}; run_experiment spawns itself)");
 }
 
 namespace {
@@ -176,27 +190,117 @@ struct RemoteTask
     bool resolved = false;
     bool failed = false;
     std::string detail;
+    std::string stderrText; ///< of the agent that died holding it
 };
+
+/** An agent process this coordinator spawned. */
+struct SpawnedAgent
+{
+    long pid = -1;
+    std::string stderrPath;
+    bool exited = false;
+    std::string detail; ///< how it exited, once reaped
+};
+
+/**
+ * A fresh private drop box under `base` (or the temp directory),
+ * suffixed with the process-unique token so two coordinators sharing
+ * a scratch directory never share or delete each other's boxes.
+ */
+std::string
+makeBoxDir(const std::string &base)
+{
+    static std::atomic<uint64_t> sequence{0};
+    const std::string root = base.empty() ? tempRoot() : base;
+    // A coordinator that crashed (or was SIGKILLed) kept its box but
+    // can never delete it; reclaim any sibling whose owner is gone.
+    sweepStaleProcessDirs(root, "cassandra-box-");
+    const std::string dir = root + "/cassandra-box-" +
+        processUniqueSuffix() + "-" +
+        std::to_string(sequence.fetch_add(1));
+    ensureDirectories(dir);
+    return dir;
+}
 
 #if defined(CASSANDRA_POSIX_AGENTS)
 
-pid_t
+/**
+ * fork/exec one agent with stderr captured to `stderr_path`. A
+ * non-empty `tmpdir` replaces the child's TMPDIR, which is where the
+ * agent keeps its scratch.
+ */
+long
 spawnAgent(const std::string &binary,
-           const std::vector<std::string> &args)
+           const std::vector<std::string> &args,
+           const std::string &stderr_path, const std::string &tmpdir)
 {
     std::vector<char *> argv;
     argv.push_back(const_cast<char *>(binary.c_str()));
     for (const std::string &arg : args)
         argv.push_back(const_cast<char *>(arg.c_str()));
     argv.push_back(nullptr);
+    // The environment is built before fork: only async-signal-safe
+    // calls may run in the child of a threaded process.
+    std::vector<std::string> env;
+    for (char **e = environ; *e; e++) {
+        if (tmpdir.empty() || std::strncmp(*e, "TMPDIR=", 7) != 0)
+            env.push_back(*e);
+    }
+    if (!tmpdir.empty())
+        env.push_back("TMPDIR=" + tmpdir);
+    std::vector<char *> envp;
+    for (std::string &entry : env)
+        envp.push_back(entry.data());
+    envp.push_back(nullptr);
+
     const pid_t pid = fork();
     if (pid < 0)
         throw std::runtime_error("cannot fork shard agent");
     if (pid == 0) {
-        execv(binary.c_str(), argv.data());
+        const int fd = open(stderr_path.c_str(),
+                            O_WRONLY | O_CREAT | O_TRUNC, 0600);
+        if (fd >= 0) {
+            dup2(fd, 2);
+            if (fd != 2)
+                close(fd);
+        }
+        execve(binary.c_str(), argv.data(), envp.data());
+        // exec failed: 127 like the shell, reason on the captured fd.
+        const char msg[] = "cannot exec agent binary\n";
+        ssize_t ignored = write(2, msg, sizeof(msg) - 1);
+        (void)ignored;
         _exit(127);
     }
     return pid;
+}
+
+std::string
+describeExit(int status)
+{
+    if (WIFEXITED(status))
+        return "exited with status " +
+            std::to_string(WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return "killed by signal " + std::to_string(WTERMSIG(status));
+    return "ended abnormally";
+}
+
+/** waitpid(WNOHANG) every live agent; true when any has exited. */
+bool
+reapExitedAgents(std::vector<SpawnedAgent> &agents)
+{
+    bool any = false;
+    for (SpawnedAgent &agent : agents) {
+        int status = 0;
+        if (!agent.exited &&
+            waitpid(static_cast<pid_t>(agent.pid), &status, WNOHANG) ==
+                agent.pid) {
+            agent.exited = true;
+            agent.detail = describeExit(status);
+        }
+        any = any || agent.exited;
+    }
+    return any;
 }
 
 #endif // CASSANDRA_POSIX_AGENTS
@@ -209,43 +313,37 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
 {
     if (cells.empty())
         return {};
+    if (!options_.dropboxDir.empty())
+        return dispatch(cells, artifacts, options_.dropboxDir);
 
+    const std::string box = makeBoxDir(options_.scratchDir);
+    store_ = std::make_shared<ArtifactStore>(box);
+    try {
+        std::vector<CellResult> results = dispatch(cells, artifacts, box);
+        removeDirectoryTree(box);
+        return results;
+    } catch (...) {
+        std::fprintf(stderr,
+                     "shard run failed; keeping drop box %s (agent "
+                     "stderr in logs/) for debugging\n",
+                     box.c_str());
+        throw;
+    }
+}
+
+std::vector<CellResult>
+RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
+                              const ArtifactMap &artifacts,
+                              const std::string &box_dir)
+{
+    const bool private_box = options_.dropboxDir.empty();
     RunnerOptions base(options_.threads);
     base.shards = options_.shards;
     const unsigned shards = base.resolveShards(cells.size());
     const unsigned worker_threads =
         base.resolveThreads(cells.size(), shards);
-
-    // Content-addressed snapshot publish: a fingerprint already in
-    // the box (this run, a previous run, another coordinator) is
-    // never uploaded again.
-    std::map<std::string, std::string> snapshot_keys;
-    for (const PlannedCell &cell : cells) {
-        if (snapshot_keys.count(cell.workload))
-            continue;
-        const AnalyzedWorkload::Ptr &artifact =
-            artifacts.at(cell.workload);
-        const std::string key = ArtifactStore::artifactKey(
-            workloadFingerprint(artifact->workload()),
-            artifactFormatVersion);
-        store_->publishArtifactOnce(
-            key, packAnalyzedWorkload(*artifact, cell.workload));
-        snapshot_keys.emplace(cell.workload, key);
-    }
-
-    const std::vector<uint64_t> costs =
-        estimateCellCosts(cells, artifacts, options_.costSource.get());
-    const std::vector<std::vector<uint32_t>> partition =
-        scheduleShards(options_.scheduler, costs, shards);
-    schedule_ = ScheduleSummary{};
-    schedule_.valid = true;
-    schedule_.scheduler = options_.scheduler;
-    for (const std::vector<uint32_t> &assigned : partition) {
-        uint64_t shard_cost = 0;
-        for (uint32_t i : assigned)
-            shard_cost += costs[i];
-        schedule_.shardCosts.push_back(shard_cost);
-    }
+    const unsigned num_agents =
+        private_box && options_.agents == 0 ? shards : options_.agents;
 
     // Run-unique task names: a straggler agent finishing a withdrawn
     // task from a previous run can never be mistaken for ours.
@@ -253,77 +351,21 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
     const std::string run_tag = "run-" + processUniqueSuffix() + "-" +
         std::to_string(run_sequence.fetch_add(1));
 
+    std::vector<SpawnedAgent> agents;
     std::vector<RemoteTask> tasks;
-    const auto now = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < shards; s++) {
-        RemoteTask task;
-        task.shard = s;
-        task.name = run_tag + "-shard-" + std::to_string(s);
-        task.indices = partition[s];
-        task.deadline = now +
-            std::chrono::milliseconds(options_.taskTimeoutMs);
-
-        ShardManifest manifest;
-        manifest.shardIndex = s;
-        manifest.workerThreads = worker_threads;
-        manifest.streamDir = ""; // agents rehydrate into own scratch
-        for (uint32_t i : task.indices) {
-            manifest.indices.push_back(i);
-            manifest.cells.push_back(cells[i]);
-        }
-        for (const auto &[name, key] : snapshot_keys) {
-            bool used = false;
-            for (const PlannedCell &cell : manifest.cells)
-                used = used || cell.workload == name;
-            if (used)
-                manifest.artifacts.emplace_back(name, key);
-        }
-        store_->publishTask(task.name, packShardManifest(manifest));
-        stats_.tasksPublished++;
-        tasks.push_back(std::move(task));
-    }
-
-    // Local agent pool for this run, when requested. Spawned agents
-    // also idle-exit on their own, so a coordinator killed before the
-    // reap below cannot leave immortal pollers behind.
-    std::vector<long> agent_pids;
-#if defined(CASSANDRA_POSIX_AGENTS)
-    std::string box_dir = options_.dropboxDir;
-    if (box_dir.empty() && options_.agents > 0) {
-        // Injected store: spawned agents need a directory to poll.
-        auto *local =
-            dynamic_cast<LocalDirTransport *>(&store_->transport());
-        if (!local)
-            throw std::runtime_error(
-                "cannot spawn local agents for a non-directory "
-                "transport; run a standing agent pool instead");
-        box_dir = local->root();
-    }
-    for (unsigned a = 0; a < options_.agents; a++) {
-        agent_pids.push_back(spawnAgent(
-            options_.agentBinary,
-            {"--agent", "--inbox=" + box_dir,
-             "--poll-ms=10",
-             "--idle-exit-ms=" +
-                 std::to_string(options_.taskTimeoutMs * 2)}));
-        stats_.agentsSpawned++;
-    }
-#else
-    if (options_.agents > 0)
-        throw std::runtime_error(
-            "spawning local agents is not supported on this platform");
-#endif
-
     auto reap_agents = [&]() {
 #if defined(CASSANDRA_POSIX_AGENTS)
-        for (long pid : agent_pids) {
-            kill(static_cast<pid_t>(pid), SIGTERM);
+        for (SpawnedAgent &agent : agents) {
+            if (agent.exited)
+                continue;
+            kill(static_cast<pid_t>(agent.pid), SIGTERM);
             int status = 0;
-            while (waitpid(static_cast<pid_t>(pid), &status, 0) < 0 &&
+            while (waitpid(static_cast<pid_t>(agent.pid), &status, 0) <
+                       0 &&
                    errno == EINTR) {
             }
+            agent.exited = true;
         }
-        agent_pids.clear();
 #endif
     };
     // Drop every key this run put into the box (inbox, outbox —
@@ -339,21 +381,154 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
     };
 
     try {
+        // Agents first, so their start-up overlaps the snapshot
+        // upload. They also idle-exit on their own, so a coordinator
+        // killed before the reap cannot leave immortal pollers behind.
+#if defined(CASSANDRA_POSIX_AGENTS)
+        if (num_agents > 0)
+            ensureDirectories(box_dir + "/logs");
+        for (unsigned a = 0; a < num_agents; a++) {
+            SpawnedAgent agent;
+            agent.stderrPath = box_dir + "/logs/" + run_tag + "-agent-" +
+                std::to_string(a) + ".stderr";
+            agent.pid = spawnAgent(
+                options_.agentBinary,
+                {"--agent", "--inbox=" + box_dir, "--poll-ms=10",
+                 "--idle-exit-ms=" +
+                     std::to_string(options_.taskTimeoutMs * 2)},
+                agent.stderrPath, private_box ? box_dir : "");
+            agents.push_back(std::move(agent));
+            stats_.agentsSpawned++;
+        }
+#else
+        if (num_agents > 0)
+            throw std::runtime_error(
+                "spawning local agents is not supported on this "
+                "platform");
+#endif
+
+        // Content-addressed snapshot publish, one distinct key per
+        // thread: a fingerprint already in the box (this run, a
+        // previous run, another coordinator) is never packed or
+        // uploaded again.
+        std::map<std::string, std::string> snapshot_keys;
+        std::map<std::string, std::string> to_publish; // key -> name
+        for (const PlannedCell &cell : cells) {
+            if (snapshot_keys.count(cell.workload))
+                continue;
+            const std::string key = ArtifactStore::artifactKey(
+                workloadFingerprint(
+                    artifacts.at(cell.workload)->workload()),
+                artifactFormatVersion);
+            snapshot_keys.emplace(cell.workload, key);
+            to_publish.emplace(key, cell.workload);
+        }
+        const std::vector<std::pair<std::string, std::string>> uploads(
+            to_publish.begin(), to_publish.end());
+        runParallel(base.resolveThreads(uploads.size()), uploads.size(),
+                    [&](size_t i) {
+                        const auto &[key, name] = uploads[i];
+                        store_->publishArtifactOnce(
+                            key, [&](const std::string &path) {
+                                saveAnalyzedWorkload(*artifacts.at(name),
+                                                     path, name);
+                            });
+                    });
+
+        const std::vector<uint64_t> costs = estimateCellCosts(
+            cells, artifacts, options_.costSource.get());
+        const std::vector<std::vector<uint32_t>> partition =
+            scheduleShards(costs, shards);
+        schedule_ = ScheduleSummary{};
+        schedule_.valid = true;
+        for (const std::vector<uint32_t> &assigned : partition) {
+            uint64_t shard_cost = 0;
+            for (uint32_t i : assigned)
+                shard_cost += costs[i];
+            schedule_.shardCosts.push_back(shard_cost);
+        }
+
+        const auto now = std::chrono::steady_clock::now();
+        for (unsigned s = 0; s < shards; s++) {
+            RemoteTask task;
+            task.shard = s;
+            task.name = run_tag + "-shard-" + std::to_string(s);
+            task.indices = partition[s];
+            task.deadline = now +
+                std::chrono::milliseconds(options_.taskTimeoutMs);
+
+            ShardManifest manifest;
+            manifest.shardIndex = s;
+            manifest.workerThreads = worker_threads;
+            for (uint32_t i : task.indices) {
+                manifest.indices.push_back(i);
+                manifest.cells.push_back(cells[i]);
+            }
+            for (const auto &[name, key] : snapshot_keys) {
+                bool used = false;
+                for (const PlannedCell &cell : manifest.cells)
+                    used = used || cell.workload == name;
+                if (used)
+                    manifest.artifacts.emplace_back(name, key);
+            }
+            store_->publishTask(task.name, packShardManifest(manifest));
+            stats_.tasksPublished++;
+            tasks.push_back(std::move(task));
+        }
+
         std::vector<CellResult> results(cells.size());
         std::vector<char> have(cells.size(), 0);
 
         size_t open = tasks.size();
         while (open > 0) {
+            // Claims held by spawned agents that have exited: those
+            // tasks can never finish, so they fail now rather than at
+            // the deadline. With a private box and every agent gone,
+            // unclaimed tasks have no taker either.
+            std::map<std::string, std::pair<const SpawnedAgent *,
+                                            std::string>>
+                orphaned; // task -> (dead agent, claim token)
+            bool all_gone = false;
+#if defined(CASSANDRA_POSIX_AGENTS)
+            if (reapExitedAgents(agents)) {
+                for (const std::string &claim :
+                     store_->transport().list("tasks/claimed")) {
+                    const size_t sm = claim.find(".sm.");
+                    if (sm == std::string::npos)
+                        continue;
+                    const std::string token = claim.substr(sm + 4);
+                    for (const SpawnedAgent &agent : agents) {
+                        if (agent.exited && agent.pid == tokenPid(token))
+                            orphaned[claim.substr(0, sm)] = {&agent,
+                                                             token};
+                    }
+                }
+                all_gone = private_box &&
+                    std::all_of(agents.begin(), agents.end(),
+                                [](const SpawnedAgent &agent) {
+                                    return agent.exited;
+                                });
+            }
+#endif
             bool progressed = false;
             for (RemoteTask &task : tasks) {
                 if (task.resolved)
                     continue;
-                if (store_->transport().exists(
-                        ArtifactStore::resultKey(task.name))) {
+                auto fail = [&](std::string detail, uint64_t &counter) {
+                    task.failed = true;
+                    task.detail = std::move(detail);
+                    counter++;
+                };
+                const std::string result_key =
+                    ArtifactStore::resultKey(task.name);
+                const std::string error_key =
+                    ArtifactStore::errorKey(task.name);
+                const auto dead = orphaned.find(task.name);
+                if (store_->transport().exists(result_key)) {
                     try {
                         std::vector<IndexedCellResult> partial =
-                            unpackCellResults(store_->transport().fetch(
-                                ArtifactStore::resultKey(task.name)));
+                            unpackCellResults(
+                                store_->transport().fetch(result_key));
                         if (partial.size() != task.indices.size())
                             throw std::invalid_argument(
                                 "task returned " +
@@ -375,39 +550,41 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
                         }
                         stats_.tasksCompleted++;
                     } catch (const std::exception &e) {
-                        task.failed = true;
-                        task.detail = e.what();
-                        stats_.tasksFailed++;
+                        fail(e.what(), stats_.tasksFailed);
                     }
-                    store_->transport().remove(
-                        ArtifactStore::resultKey(task.name));
-                    task.resolved = true;
-                } else if (store_->transport().exists(
-                               ArtifactStore::errorKey(task.name))) {
+                    store_->transport().remove(result_key);
+                } else if (store_->transport().exists(error_key)) {
                     const std::vector<uint8_t> msg =
-                        store_->transport().fetch(
-                            ArtifactStore::errorKey(task.name));
-                    store_->transport().remove(
-                        ArtifactStore::errorKey(task.name));
-                    task.failed = true;
-                    task.detail = "agent reported: " +
-                        std::string(msg.begin(), msg.end());
-                    task.resolved = true;
-                    stats_.tasksFailed++;
+                        store_->transport().fetch(error_key);
+                    store_->transport().remove(error_key);
+                    fail("agent reported: " +
+                             std::string(msg.begin(), msg.end()),
+                         stats_.tasksFailed);
+                } else if (dead != orphaned.end()) {
+                    const SpawnedAgent &agent = *dead->second.first;
+                    store_->transport().remove(ArtifactStore::claimedKey(
+                        task.name, dead->second.second));
+                    fail("agent " + std::to_string(agent.pid) + " " +
+                             agent.detail + " while holding the task",
+                         stats_.tasksFailed);
+                    task.stderrText = stderrTail(agent.stderrPath);
+                } else if (all_gone) {
+                    store_->withdrawTask(task.name);
+                    fail("every spawned agent exited before claiming it",
+                         stats_.tasksFailed);
                 } else if (std::chrono::steady_clock::now() >
                            task.deadline) {
                     // Unclaimed or lost: pull it back so no agent
                     // starts it after we have retried the cells.
                     store_->withdrawTask(task.name);
-                    task.failed = true;
-                    task.detail = "no result within " +
-                        std::to_string(options_.taskTimeoutMs) +
-                        " ms (agent pool empty, lost or stuck)";
-                    task.resolved = true;
-                    stats_.tasksTimedOut++;
+                    fail("no result within " +
+                             std::to_string(options_.taskTimeoutMs) +
+                             " ms (agent pool empty, lost or stuck)",
+                         stats_.tasksTimedOut);
                 } else {
                     continue;
                 }
+                task.resolved = true;
                 progressed = true;
                 open--;
             }
@@ -416,22 +593,25 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
         }
 
         // Failed/timed-out tasks: one in-process retry before the run
-        // fails — identical policy to the subprocess backend.
+        // fails.
         for (const RemoteTask &task : tasks) {
             if (!task.failed)
                 continue;
             if (!options_.retryInProcess)
-                throw WorkerError(task.shard, task.detail, "");
+                throw WorkerError(task.shard, task.detail,
+                                  task.stderrText);
             std::fprintf(stderr,
-                         "remote task %s: %s; retrying its %zu cells "
+                         "shard %u (%s): %s; retrying its %zu cells "
                          "in-process\n",
-                         task.name.c_str(), task.detail.c_str(),
-                         task.indices.size());
+                         task.shard, task.name.c_str(),
+                         task.detail.c_str(), task.indices.size());
             try {
                 std::vector<PlannedCell> retry_cells;
                 retry_cells.reserve(task.indices.size());
                 for (uint32_t i : task.indices)
                     retry_cells.push_back(cells[i]);
+                // The other shards are done by the time a retry runs,
+                // so it gets the full coordinator budget.
                 std::vector<CellResult> retried =
                     InProcessExecutor(options_.threads)
                         .execute(retry_cells, artifacts);
@@ -445,7 +625,7 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
                                   task.detail +
                                       "; in-process retry failed: " +
                                       e.what(),
-                                  "");
+                                  task.stderrText);
             }
         }
 
@@ -457,6 +637,9 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
         }
         reap_agents();
         scrub_tasks();
+        // A shared box keeps no logs of runs that went well.
+        for (const SpawnedAgent &agent : agents)
+            std::remove(agent.stderrPath.c_str());
         return results;
     } catch (...) {
         reap_agents();

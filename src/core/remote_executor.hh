@@ -1,12 +1,10 @@
 /**
  * @file
- * Remote shard dispatch over the content-addressed artifact store.
+ * The out-of-process cell executor: shard dispatch over the
+ * content-addressed artifact store.
  *
- * RemoteShardExecutor is the third core::CellExecutor backend. Where
- * SubprocessShardExecutor hands shard manifests to fork/exec'd
- * children through a private scratch directory, the remote executor
- * publishes the same CASSSM1 manifests (and CASSAW4 snapshots) into a
- * shared ArtifactStore drop box and lets *agents* — independent
+ * RemoteShardExecutor publishes CASSSM2 shard manifests and CASSAW4
+ * snapshots into an ArtifactStore drop box and lets *agents* —
  * `run_experiment --agent --inbox=DIR` processes, on this host or any
  * host that can see the box — claim tasks, execute them and publish
  * CASSCR1 result sets back:
@@ -18,26 +16,30 @@
  *                                    tasks/claimed/        execute
  *   poll results             <----   tasks/outbox/  <----  publishResult
  *
- * Differences from the subprocess backend that matter to callers:
+ * Two spellings of the one mechanism:
  *
- *  - Snapshots are content-addressed (workload fingerprint + CASSAW
+ *  - Shared box (Options::dropboxDir; `--execution remote`).
+ *    Snapshots are content-addressed (workload fingerprint + CASSAW
  *    version), so across runs, sweeps and coordinators each distinct
  *    workload uploads exactly once (ArtifactStore::Stats proves it).
- *  - Manifests carry store *keys*, not filesystem paths; agents
- *    resolve them through checksum-validated fetches and rehydrate
- *    trace streams into their own scratch.
- *  - Failure handling is deadline-based: a task with no result after
- *    Options::taskTimeoutMs is withdrawn and its cells retried once
- *    in-process (the PR 5 retry path) — covering lost agents, crashed
- *    agents (which publish an error report) and an empty agent pool
- *    alike. Run-unique task names make a late straggler result
- *    harmless.
+ *    Agents are a standing pool, or Options::agents local ones
+ *    spawned for the duration of one execute() call.
  *
- * The executor can spawn its own local agent pool for the duration of
- * one execute() call (Options::agents / agentBinary) — the zero-setup
- * path the CLI uses — or publish into a box serviced by a standing
- * pool (Options::agents == 0), which is how a long-running service
- * host shares agents across many runs.
+ *  - Private box (no dropboxDir; `--execution subprocess`). Each
+ *    execute() creates a fresh box under Options::scratchDir (empty =
+ *    the temp directory) and spawns one agent per shard into it, with
+ *    TMPDIR pointed inside the box so the agents' rehydrated trace
+ *    streams live there too. The box is removed after a successful
+ *    run and kept, with every agent's captured stderr, when the run
+ *    fails.
+ *
+ * Failure handling: a task whose agent reports an error, returns a
+ * corrupt result set, or has no result after Options::taskTimeoutMs
+ * is withdrawn and its cells retried once in-process. Spawned agents
+ * are reaped while the coordinator polls, so a task claimed by an
+ * agent that died fails at once instead of waiting for the deadline;
+ * the agent's stderr tail rides along on the WorkerError. Run-unique
+ * task names make a late straggler result harmless.
  */
 
 #ifndef CASSANDRA_CORE_REMOTE_EXECUTOR_HH
@@ -76,37 +78,41 @@ struct AgentOptions
  * referenced snapshots, execute the cells in-process and publish
  * CASSCR1 results (errors become error reports, not agent deaths).
  * Returns 0 on a clean stop (stop flag or idle exit). Honors the
- * CASSANDRA_TEST_WORKER_CRASH hook: a manifest whose shard index
- * matches publishes an injected-crash error report instead of results
- * (exercises the coordinator's retry path). `log` gets one line per
- * task for service logs.
+ * CASSANDRA_TEST_WORKER_CRASH fault-injection hook: an agent that
+ * claims a manifest whose shard index matches the variable exits at
+ * once with status 42, leaving its claim behind like a hard crash
+ * (exercises the coordinator's reaping and retry paths). `log` gets
+ * one line per task for service logs.
  */
 int runShardAgent(const AgentOptions &options,
                   const AnalysisCache::Resolver &resolver,
                   std::ostream &log);
 
-/** Phase-2 cells dispatched through a drop box to agent processes. */
+/** Phase-2 cells dispatched through a drop box to agent processes
+ * (file comment). */
 class RemoteShardExecutor : public CellExecutor
 {
   public:
     struct Options
     {
-        /** Drop-box directory (required unless `store` is injected). */
+        /** Shared drop-box directory; empty runs each execute() over
+         * a private box instead. */
         std::string dropboxDir;
-        /** Injected store (tests, custom transports); overrides
-         * dropboxDir when set. */
-        std::shared_ptr<ArtifactStore> store;
+        /** Parent of the private box; empty = the temp directory. */
+        std::string scratchDir;
         /** Shard (task) count; 0 = auto (RunnerOptions::resolveShards). */
         unsigned shards = 0;
         /** Coordinator-side thread request; per-task budgets derive
-         * from it exactly like the subprocess backend. */
+         * from it via RunnerOptions::resolveThreads(work, shards). */
         unsigned threads = 0;
         /**
          * Local agents to spawn for the duration of execute(); 0
-         * relies on a standing pool already polling the box.
+         * relies on a standing pool already polling a shared box, or
+         * spawns one per shard into a private box.
          */
         unsigned agents = 0;
-        /** Binary implementing `--agent` (required when agents > 0). */
+        /** Binary implementing `--agent` (required whenever agents
+         * are spawned). */
         std::string agentBinary;
         /** Per-task deadline before the coordinator gives up on the
          * box and retries the task's cells in-process. */
@@ -116,9 +122,8 @@ class RemoteShardExecutor : public CellExecutor
         /** Retry timed-out/failed tasks in-process before failing the
          * run (disabled, they raise WorkerError directly). */
         bool retryInProcess = true;
-        /** Shard partitioning policy (see scheduleShards). */
-        ShardScheduler scheduler = ShardScheduler::Contiguous;
-        /** Prior-cycles source for the Lpt cost model (may be null). */
+        /** Prior-cycles source for the scheduler's cost model (may be
+         * null: static ops counts). */
         std::shared_ptr<const ResultStore> costSource;
     };
 
@@ -127,14 +132,14 @@ class RemoteShardExecutor : public CellExecutor
     {
         uint64_t tasksPublished = 0;
         uint64_t tasksCompleted = 0; ///< merged from an outbox result
-        uint64_t tasksFailed = 0;    ///< agent published an error
+        uint64_t tasksFailed = 0; ///< error, corrupt result or agent died
         uint64_t tasksTimedOut = 0;  ///< deadline passed, withdrawn
         uint64_t cellsRetried = 0;   ///< recovered in-process
         uint64_t agentsSpawned = 0;
     };
 
-    /** @throws std::invalid_argument when neither dropboxDir nor
-     * store is set, or agents > 0 with an empty agentBinary. */
+    /** @throws std::invalid_argument when agents would be spawned
+     * (agents > 0, or a private box) but agentBinary is empty. */
     explicit RemoteShardExecutor(Options options);
 
     const char *name() const override { return "remote"; }
@@ -146,11 +151,16 @@ class RemoteShardExecutor : public CellExecutor
 
     const Stats &stats() const { return stats_; }
 
-    /** The store execute() publishes through (upload/reuse counters
-     * live here — how tests prove upload-once per fingerprint). */
+    /** The store the last execute() published through (upload/reuse
+     * counters live here — how tests prove upload-once per
+     * fingerprint). Null for a private box before the first run. */
     ArtifactStore &store() const { return *store_; }
 
   private:
+    std::vector<CellResult>
+    dispatch(const std::vector<PlannedCell> &cells,
+             const ArtifactMap &artifacts, const std::string &box_dir);
+
     Options options_;
     std::shared_ptr<ArtifactStore> store_;
     Stats stats_;

@@ -311,23 +311,16 @@ struct SnapshotMeta
     TraceGenResult tg;
 };
 
-/** The validated snapshot prefix: container version + meta length. */
-struct SnapshotPrefix
-{
-    uint32_t version = 0;
-    uint32_t metaLen = 0;
-};
-
 /**
  * Validate the fixed snapshot prefix (reader positioned at byte 0)
- * and return the container version and metadata-section length.
+ * and return the metadata-section length.
  * "CASSAW" identifies the container family; the version digit and the
  * explicit version field distinguish outdated snapshots (evict) from
  * arbitrary non-artifact files. Versions artifactMinReadVersion..
  * artifactFormatVersion parse; older revisions raise the typed
  * eviction error.
  */
-SnapshotPrefix
+uint32_t
 checkSnapshotPrefix(ByteReader &r)
 {
     uint8_t magic[8];
@@ -342,21 +335,19 @@ checkSnapshotPrefix(ByteReader &r)
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot has an unknown container "
             "revision; evict and re-analyze");
-    SnapshotPrefix prefix;
-    prefix.version = r.u32();
-    if (prefix.version != static_cast<uint32_t>(digit - '0'))
+    const uint32_t version = r.u32();
+    if (version != static_cast<uint32_t>(digit - '0'))
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot magic and version field "
             "disagree; evict and re-analyze");
-    if (prefix.version < artifactMinReadVersion)
+    if (version < artifactMinReadVersion)
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot has an outdated container "
-            "format (version " + std::to_string(prefix.version) +
+            "format (version " + std::to_string(version) +
             ", oldest readable " +
             std::to_string(artifactMinReadVersion) +
             "); evict and re-analyze");
-    prefix.metaLen = r.u32();
-    return prefix;
+    return r.u32();
 }
 
 /** Parse the metadata section and rebuild/validate the workload. */
@@ -748,8 +739,8 @@ unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
                        const std::string &stream_dir)
 {
     ByteReader r(bytes);
-    const SnapshotPrefix prefix = checkSnapshotPrefix(r);
-    if (prefix.metaLen > r.remaining())
+    const uint32_t meta_len = checkSnapshotPrefix(r);
+    if (meta_len > r.remaining())
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
     const size_t before_meta = r.remaining();
@@ -757,28 +748,13 @@ unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
     // The declared length locates the trace section in the streaming
     // load path; parseMeta must agree byte for byte or the two load
     // paths would read different sections of the same file.
-    if (before_meta - r.remaining() != prefix.metaLen)
+    if (before_meta - r.remaining() != meta_len)
         throw std::invalid_argument(
             "AnalyzedWorkload snapshot metadata length mismatch");
 
     const uint8_t storage = r.u8();
     if (storage == traceStorageInline) {
-        const uint64_t num_ops = r.u64();
-        uarch::TimingTrace trace;
-        if (prefix.version >= 4) {
-            trace = readFramedOps(r, num_ops);
-        } else {
-            // CASSAW3: raw 24 B/op inline section.
-            if (num_ops > r.remaining() / traceStreamOpBytes)
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            trace.reserve(num_ops);
-            for (uint64_t i = 0; i < num_ops; i++)
-                trace.push_back(
-                    opFromBytes(r.raw(traceStreamOpBytes)));
-            inline_ops_read.fetch_add(num_ops,
-                                      std::memory_order_relaxed);
-        }
+        uarch::TimingTrace trace = readFramedOps(r, r.u64());
         if (!r.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
@@ -859,8 +835,7 @@ loadAnalyzedWorkload(const std::string &path,
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
     ByteReader pr(prefix);
-    const SnapshotPrefix snap = checkSnapshotPrefix(pr);
-    const uint32_t meta_len = snap.metaLen;
+    const uint32_t meta_len = checkSnapshotPrefix(pr);
     if (meta_len > file_len - snapshotPrefixBytes)
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
@@ -881,52 +856,21 @@ loadAnalyzedWorkload(const std::string &path,
     const uint64_t consumed = snapshotPrefixBytes + meta_len + 1 + 8;
 
     if (storage == traceStorageInline) {
-        uarch::TimingTrace trace;
-        if (snap.version >= 4) {
-            // Frame-coded inline ops: the section is a few bytes per
-            // op, so slurping the remainder keeps this path simple (a
-            // whole-mode artifact materializes the trace anyway).
-            std::vector<uint8_t> section(
-                static_cast<size_t>(file_len - consumed));
-            if (!section.empty() &&
-                !file.read(reinterpret_cast<char *>(section.data()),
-                           static_cast<std::streamsize>(section.size())))
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            ByteReader sr(section);
-            trace = readFramedOps(sr, num_ops);
-            if (!sr.done())
-                throw std::invalid_argument(
-                    "trailing bytes in AnalyzedWorkload snapshot");
-        } else {
-            // CASSAW3 raw 24 B/op section, read in bounded chunks.
-            if (num_ops !=
-                    (file_len - consumed) / traceStreamOpBytes ||
-                file_len - consumed != num_ops * traceStreamOpBytes)
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            trace.reserve(num_ops);
-            std::vector<uint8_t> chunk(
-                copyChunkBytes - copyChunkBytes % traceStreamOpBytes);
-            uint64_t read_ops = 0;
-            while (read_ops < num_ops) {
-                const uint64_t batch = std::min<uint64_t>(
-                    chunk.size() / traceStreamOpBytes,
-                    num_ops - read_ops);
-                if (!file.read(
-                        reinterpret_cast<char *>(chunk.data()),
-                        static_cast<std::streamsize>(
-                            batch * traceStreamOpBytes)))
-                    throw std::invalid_argument(
-                        "truncated AnalyzedWorkload snapshot");
-                for (uint64_t i = 0; i < batch; i++)
-                    trace.push_back(opFromBytes(
-                        chunk.data() + i * traceStreamOpBytes));
-                read_ops += batch;
-            }
-            inline_ops_read.fetch_add(num_ops,
-                                      std::memory_order_relaxed);
-        }
+        // Frame-coded inline ops: the section is a few bytes per op,
+        // so slurping the remainder keeps this path simple (a
+        // whole-mode artifact materializes the trace anyway).
+        std::vector<uint8_t> section(
+            static_cast<size_t>(file_len - consumed));
+        if (!section.empty() &&
+            !file.read(reinterpret_cast<char *>(section.data()),
+                       static_cast<std::streamsize>(section.size())))
+            throw std::invalid_argument(
+                "truncated AnalyzedWorkload snapshot");
+        ByteReader sr(section);
+        uarch::TimingTrace trace = readFramedOps(sr, num_ops);
+        if (!sr.done())
+            throw std::invalid_argument(
+                "trailing bytes in AnalyzedWorkload snapshot");
         return assembleWhole(std::move(meta), std::move(trace));
     }
     if (storage != traceStorageStream)
@@ -1098,19 +1042,6 @@ unpackCellResults(const std::vector<uint8_t> &bytes)
         throw std::invalid_argument(
             "trailing bytes in cell-result set");
     return cells;
-}
-
-void
-saveCellResults(const std::vector<IndexedCellResult> &cells,
-                const std::string &path)
-{
-    writeFileBytes(path, packCellResults(cells));
-}
-
-std::vector<IndexedCellResult>
-loadCellResults(const std::string &path)
-{
-    return unpackCellResults(readFileBytes(path, "cell-result set"));
 }
 
 SnapshotIoStats

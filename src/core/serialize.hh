@@ -29,9 +29,8 @@
  * smaller than the historical 24 B/op section), while a streamed
  * artifact embeds its trace *stream file* (CASSTF1/2, typically
  * delta-compressed) by chunked copy — saving and loading never
- * materialize the op vector. Writers emit CASSAW4; readers accept
- * CASSAW3 (raw 24 B/op inline ops) and CASSAW4, while the older
- * CASSAW1/2 revisions raise the typed eviction error.
+ * materialize the op vector. Only CASSAW4 is written or read; every
+ * older revision raises the typed eviction error.
  * loadAnalyzedWorkload extracts an embedded stream back to a trace
  * file and rehydrates straight into stream mode, validating both the
  * snapshot's workload fingerprint and the stream's own program
@@ -40,10 +39,10 @@
  * trip moves stream bytes but zero inline ops.
  *
  * The module also defines the CASSCR1 cell-result set: the partial
- * `Experiment` a shard worker hands back to the coordinator (one
- * CellResult per global cell index). SubprocessShardExecutor merges
- * these sets into the final result vector byte-identically to an
- * in-process run.
+ * `Experiment` a shard agent publishes back through the drop box (one
+ * CellResult per global cell index). RemoteShardExecutor merges these
+ * sets into the final result vector byte-identically to an in-process
+ * run.
  */
 
 #ifndef CASSANDRA_CORE_SERIALIZE_HH
@@ -64,16 +63,15 @@ namespace cassandra::core {
 
 /**
  * Container format version written for AnalyzedWorkload snapshots.
- * Bumped on every incompatible layout change; loaders additionally
- * accept artifactMinReadVersion..artifactFormatVersion and reject
- * anything else with ArtifactFormatError so stale caches evict
- * instead of drifting.
+ * Bumped on every incompatible layout change; loaders accept
+ * artifactMinReadVersion..artifactFormatVersion and reject anything
+ * else with ArtifactFormatError so stale caches evict instead of
+ * drifting.
  */
 constexpr uint32_t artifactFormatVersion = 4;
 
-/** Oldest snapshot version loaders still read (CASSAW3: raw inline
- * ops instead of CASSTF2-codec frames; stream sections identical). */
-constexpr uint32_t artifactMinReadVersion = 3;
+/** Oldest snapshot version loaders still read. */
+constexpr uint32_t artifactMinReadVersion = 4;
 
 /** Pack a multi-target branch trace into its data-page bytes. */
 std::vector<uint8_t> packTrace(const BranchTrace &trace);
@@ -200,14 +198,6 @@ packCellResults(const std::vector<IndexedCellResult> &cells);
  */
 std::vector<IndexedCellResult>
 unpackCellResults(const std::vector<uint8_t> &bytes);
-
-/** packCellResults straight to a file (throws on I/O errors). */
-void saveCellResults(const std::vector<IndexedCellResult> &cells,
-                     const std::string &path);
-
-/** Load + unpack a CASSCR1 file (throws like unpackCellResults). */
-std::vector<IndexedCellResult>
-loadCellResults(const std::string &path);
 
 /**
  * Number of u64 counters in an ExperimentResult (the CASSCR1 fixed

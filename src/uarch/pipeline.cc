@@ -303,55 +303,22 @@ TaintWalker::feed(const Inst &inst, uint64_t mem_addr, bool crypto)
     return src_taint;
 }
 
-namespace {
-
-/**
- * The one taint walk behind annotateTaint and computeTaintBitmap:
- * streams ops from `src` through a TaintWalker and reports each op's
- * source-operand taint to `sink(index, tainted)`. The fused pipeline
- * drives the same TaintWalker from SoA batches, which is what keeps
- * the bitmap bit-for-bit equal across all three paths.
- */
-template <typename Sink>
-void
-walkTaint(TimingOpSource &src,
-          const std::vector<core::SecretRegion> &regions, Sink &&sink)
-{
-    TaintWalker walker(regions);
-    size_t index = 0;
-    for (const TimingOp *opp = src.next(); opp;
-         opp = src.next(), index++) {
-        const TimingOp &op = *opp;
-        sink(index, walker.feed(*op.inst, op.memAddr, op.crypto));
-    }
-}
-
-} // namespace
-
-void
-annotateTaint(TimingTrace &trace, const ir::Program &program,
-              const std::vector<core::SecretRegion> &regions)
-{
-    if (regions.empty())
-        return;
-    TraceSpanSource src(trace);
-    walkTaint(src, regions,
-              [&](size_t i, bool tainted) { trace[i].tainted = tainted; });
-    (void)program;
-}
-
 TaintBitmap
 computeTaintBitmap(TimingOpSource &src,
                    const std::vector<core::SecretRegion> &regions,
                    size_t num_ops)
 {
+    // The fused pipeline drives the same TaintWalker from SoA batches,
+    // which keeps the bitmap bit-for-bit equal across both paths.
     TaintBitmap bitmap(num_ops);
     if (regions.empty())
         return bitmap;
-    walkTaint(src, regions, [&](size_t i, bool tainted) {
-        if (tainted)
-            bitmap.set(i);
-    });
+    TaintWalker walker(regions);
+    size_t index = 0;
+    for (const TimingOp *op = src.next(); op; op = src.next(), index++) {
+        if (walker.feed(*op->inst, op->memAddr, op->crypto))
+            bitmap.set(index);
+    }
     return bitmap;
 }
 
@@ -390,28 +357,6 @@ OooCore::predictedCryptoPc(uint64_t pc) const
         off % ir::instBytes == 0)
         return cryptoPcMap_[off / ir::instBytes] != 0;
     return program_.isCryptoPc(pc);
-}
-
-OooCore::OooCore(const CoreParams &params, Scheme scheme,
-                 const ir::Program &program, const core::TraceImage *image)
-    : OooCore(
-          [&] {
-              core::SimConfig cfg;
-              cfg.scheme = scheme;
-              cfg.core = params;
-              return cfg;
-          }(),
-          program, image)
-{
-}
-
-CoreStats
-OooCore::run(const TimingTrace &trace)
-{
-    // Legacy in-memory entry point: taint comes from the per-op flags
-    // (annotateTaint), exactly as before the bitmap existed.
-    TraceSpanSource src(trace);
-    return run(src, nullptr);
 }
 
 namespace {

@@ -251,11 +251,11 @@ class TaintBitmap
 };
 
 /**
- * Incremental form of the taint walk behind annotateTaint and
- * computeTaintBitmap: feed() consumes one executed op and returns its
- * source-operand taint. Both the scalar walkers and the fused
- * analysis pipeline's batch consumer drive this one state machine, so
- * their verdicts are bit-for-bit equal by construction. `regions`
+ * Incremental form of the taint walk behind computeTaintBitmap:
+ * feed() consumes one executed op and returns its source-operand
+ * taint. Both the scalar walk and the fused analysis pipeline's batch
+ * consumer drive this one state machine, so their verdicts are
+ * bit-for-bit equal by construction. `regions`
  * must outlive the walker.
  */
 class TaintWalker
@@ -304,18 +304,10 @@ uint64_t recordTrace(const core::Workload &workload, int which,
                      const std::function<void(const TimingOp &)> &sink);
 
 /**
- * ProSpeCT taint pre-pass: mark instructions whose source operands are
- * tainted, propagating from loads out of the secret regions through
- * registers and memory, with register declassification at crypto-region
- * exits.
- */
-void annotateTaint(TimingTrace &trace, const ir::Program &program,
-                   const std::vector<core::SecretRegion> &regions);
-
-/**
- * Bitmap form of the taint pre-pass: one streaming pass over `src`
- * producing 1 bit/op. Bit i equals the `tainted` flag annotateTaint
- * would write on op i (both run the same walker).
+ * ProSpeCT taint pre-pass: one streaming pass over `src` producing
+ * 1 bit/op, set when the op's source operands are tainted. Taint
+ * propagates from loads out of the secret regions through registers
+ * and memory, with register declassification at crypto-region exits.
  *
  * @param num_ops op count of the stream (sizes the bitmap)
  */
@@ -382,20 +374,12 @@ class OooCore
     OooCore(const core::SimConfig &config, const ir::Program &program,
             const core::TraceImage *image = nullptr);
 
-    /** Legacy form: default BTU geometry. */
-    OooCore(const CoreParams &params, Scheme scheme,
-            const ir::Program &program,
-            const core::TraceImage *image = nullptr);
-
     /**
      * Run the timing model over an op stream. When `taint` is given it
      * supplies the ProSpeCT per-op taint flags (bit i for op i);
      * otherwise each op's own `tainted` flag is used.
      */
     CoreStats run(TimingOpSource &src, const TaintBitmap *taint = nullptr);
-
-    /** Run over a recorded in-memory trace (op-embedded taint flags). */
-    CoreStats run(const TimingTrace &trace);
 
     const btu::Btu *btuUnit() const { return btu_.get(); }
     const TagePredictor &tage() const { return tage_; }

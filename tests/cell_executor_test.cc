@@ -1,23 +1,23 @@
 /**
  * @file
  * Tests for the pluggable cell-execution layer: shard manifest and
- * CASSCR1 cell-result round trips (corrupt files rejected with typed
- * errors), the shards x threads oversubscription cap, the shard
- * schedulers (contiguous blocks vs. LPT bin packing over the recorded
- * cost model), scratch-directory lifetime (removed on success, kept
- * on failure), and the subprocess executor against the real
- * `run_experiment --worker` binary — 1-shard parity with the
+ * CASSCR1 cell-result round trips (corrupt bytes rejected with typed
+ * errors), the shards x threads oversubscription cap, the LPT shard
+ * scheduler (never worse than equal blocks, over the recorded cost
+ * model), private drop-box lifetime (removed on success, kept on
+ * failure), and subprocess execution against the real
+ * `run_experiment --agent` binary — 1-shard parity with the
  * in-process executor across every scheme, determinism across shard
- * counts, the crashed-worker retry path and the typed WorkerError
- * with captured stderr.
+ * counts, the dead-agent retry path (noticed long before the task
+ * deadline) and the typed WorkerError with captured stderr.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <dirent.h>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #if !defined(_WIN32)
@@ -27,6 +27,7 @@
 #include "core/cell_executor.hh"
 #include "core/experiment.hh"
 #include "core/experiment_config.hh"
+#include "core/remote_executor.hh"
 #include "core/result_store.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
@@ -42,10 +43,10 @@ using core::ExperimentRunner;
 using core::IndexedCellResult;
 using core::InProcessExecutor;
 using core::PlannedCell;
+using core::RemoteShardExecutor;
 using core::RunnerOptions;
 using core::ShardManifest;
 using core::SimConfig;
-using core::SubprocessShardExecutor;
 using core::WorkerError;
 using uarch::Scheme;
 
@@ -96,6 +97,17 @@ subprocessOptions(unsigned shards)
     return options;
 }
 
+/** What makeCellExecutor builds for subprocess execution: a private
+ * drop box with one spawned agent per shard. */
+RemoteShardExecutor::Options
+privateBoxOptions(unsigned shards)
+{
+    RemoteShardExecutor::Options opts;
+    opts.shards = shards;
+    opts.agentBinary = workerBinary ? workerBinary : "";
+    return opts;
+}
+
 // ---------------------------------------------------------------------
 // Shard manifest round trip
 // ---------------------------------------------------------------------
@@ -105,9 +117,8 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     ShardManifest manifest;
     manifest.shardIndex = 3;
     manifest.workerThreads = 2;
-    manifest.streamDir = "/tmp/scratch";
-    manifest.artifacts = {{"ChaCha20_ct", "/tmp/scratch/c.aw"},
-                          {"synthetic/aes/25", "/tmp/scratch/s.aw"}};
+    manifest.artifacts = {{"ChaCha20_ct", "artifacts/aw-c-v4.aw"},
+                          {"synthetic/aes/25", "artifacts/aw-s-v4.aw"}};
 
     PlannedCell cell;
     cell.workload = "synthetic/aes/25";
@@ -128,7 +139,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
         core::packShardManifest(manifest));
     EXPECT_EQ(back.shardIndex, 3u);
     EXPECT_EQ(back.workerThreads, 2u);
-    EXPECT_EQ(back.streamDir, "/tmp/scratch");
     EXPECT_EQ(back.artifacts, manifest.artifacts);
     ASSERT_EQ(back.cells.size(), 1u);
     EXPECT_EQ(back.indices, manifest.indices);
@@ -236,17 +246,6 @@ TEST(CellResultsTest, CorruptSetsAreRejected)
     trailing.push_back(0);
     EXPECT_THROW(core::unpackCellResults(trailing),
                  std::invalid_argument);
-
-    // File-level loads reject the same way (the coordinator's merge
-    // treats this as a shard failure and retries).
-    const std::string path = testing::TempDir() + "/corrupt.crs";
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bad_magic.data()),
-                  static_cast<std::streamsize>(bad_magic.size()));
-    }
-    EXPECT_THROW(core::loadCellResults(path),
-                 core::ArtifactFormatError);
 }
 
 // ---------------------------------------------------------------------
@@ -286,8 +285,7 @@ TEST(RunnerOptionsTest, ShardCountClampsToWork)
 
 TEST(SubprocessExecutorTest, WorkerBinaryIsRequired)
 {
-    EXPECT_THROW(SubprocessShardExecutor(
-                     SubprocessShardExecutor::Options{}),
+    EXPECT_THROW(RemoteShardExecutor(RemoteShardExecutor::Options{}),
                  std::invalid_argument);
     RunnerOptions options;
     options.execution = ExecutionMode::Subprocess;
@@ -334,40 +332,38 @@ expectCoversAllCells(const std::vector<std::vector<uint32_t>> &shards,
         EXPECT_EQ(seen[i], 1u) << "cell " << i;
 }
 
-TEST(ShardSchedulerTest, ContiguousReproducesBlockPartition)
+/** The naive reference partition: equal-size contiguous index blocks
+ * (earlier shards take the remainder). */
+std::vector<std::vector<uint32_t>>
+equalBlocks(size_t n, unsigned shards)
 {
-    const std::vector<uint64_t> costs(10, 1);
-    auto shards = core::scheduleShards(core::ShardScheduler::Contiguous,
-                                       costs, 3);
-    ASSERT_EQ(shards.size(), 3u);
-    // The historical split: 10 cells over 3 shards -> 4 + 3 + 3,
-    // in index order.
-    EXPECT_EQ(shards[0],
-              (std::vector<uint32_t>{0, 1, 2, 3}));
-    EXPECT_EQ(shards[1], (std::vector<uint32_t>{4, 5, 6}));
-    EXPECT_EQ(shards[2], (std::vector<uint32_t>{7, 8, 9}));
+    std::vector<std::vector<uint32_t>> partition(shards);
+    size_t begin = 0;
+    for (unsigned i = 0; i < shards; i++) {
+        const size_t count = n / shards + (i < n % shards ? 1 : 0);
+        for (size_t j = begin; j < begin + count; j++)
+            partition[i].push_back(static_cast<uint32_t>(j));
+        begin += count;
+    }
+    return partition;
 }
 
 TEST(ShardSchedulerTest, LptIsolatesTheHugeCell)
 {
-    // One cell dwarfs the rest: contiguous buries it with neighbors,
+    // One cell dwarfs the rest: equal blocks bury it with neighbors,
     // LPT gives it a shard of its own.
     const std::vector<uint64_t> costs{100, 1, 1, 1, 1, 1};
-    auto contiguous = core::scheduleShards(
-        core::ShardScheduler::Contiguous, costs, 2);
-    auto lpt =
-        core::scheduleShards(core::ShardScheduler::Lpt, costs, 2);
-    expectCoversAllCells(contiguous, costs.size());
+    auto lpt = core::scheduleShards(costs, 2);
     expectCoversAllCells(lpt, costs.size());
-    EXPECT_EQ(maxShardLoad(costs, contiguous), 102u); // 100+1+1
-    EXPECT_EQ(maxShardLoad(costs, lpt), 100u);        // alone
+    EXPECT_EQ(maxShardLoad(costs, equalBlocks(costs.size(), 2)),
+              102u);                           // 100+1+1
+    EXPECT_EQ(maxShardLoad(costs, lpt), 100u); // alone
 }
 
 TEST(ShardSchedulerTest, LptCoversAllCellsAndLeavesNoShardEmpty)
 {
     const std::vector<uint64_t> costs{5, 4, 3, 2, 1};
-    auto shards =
-        core::scheduleShards(core::ShardScheduler::Lpt, costs, 3);
+    auto shards = core::scheduleShards(costs, 3);
     ASSERT_EQ(shards.size(), 3u);
     expectCoversAllCells(shards, costs.size());
     for (const auto &shard : shards) {
@@ -381,18 +377,16 @@ TEST(ShardSchedulerTest, LptCoversAllCellsAndLeavesNoShardEmpty)
 TEST(ShardSchedulerTest, LptIsDeterministicUnderTies)
 {
     const std::vector<uint64_t> costs{7, 7, 7, 7, 7, 7, 7, 7};
-    auto first =
-        core::scheduleShards(core::ShardScheduler::Lpt, costs, 3);
-    auto second =
-        core::scheduleShards(core::ShardScheduler::Lpt, costs, 3);
+    auto first = core::scheduleShards(costs, 3);
+    auto second = core::scheduleShards(costs, 3);
     EXPECT_EQ(first, second);
     expectCoversAllCells(first, costs.size());
 }
 
-TEST(ShardSchedulerTest, LptNeverWorseThanContiguous)
+TEST(ShardSchedulerTest, LptNeverWorseThanEqualBlocks)
 {
     // A handful of skewed shapes; LPT's max load must never exceed
-    // the contiguous split's.
+    // the equal-blocks split's.
     const std::vector<std::vector<uint64_t>> shapes = {
         {1000, 1, 1, 1, 1, 1, 1, 1},
         {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
@@ -401,13 +395,11 @@ TEST(ShardSchedulerTest, LptNeverWorseThanContiguous)
     };
     for (const auto &costs : shapes) {
         for (unsigned shards : {2u, 3u, 4u}) {
-            auto contiguous = core::scheduleShards(
-                core::ShardScheduler::Contiguous, costs, shards);
-            auto lpt = core::scheduleShards(core::ShardScheduler::Lpt,
-                                            costs, shards);
+            auto lpt = core::scheduleShards(costs, shards);
             expectCoversAllCells(lpt, costs.size());
             EXPECT_LE(maxShardLoad(costs, lpt),
-                      maxShardLoad(costs, contiguous))
+                      maxShardLoad(costs,
+                                   equalBlocks(costs.size(), shards)))
                 << costs.size() << " cells / " << shards << " shards";
         }
     }
@@ -433,17 +425,15 @@ TEST(ShardSchedulerTest, CostsFallBackToStaticOpsWithoutAStore)
 #ifdef CASSANDRA_CONFIG_DIR
 
 /**
- * Satellite acceptance: on the checked-in skewed smoke config
- * (kyber768 vs. DES_ct — three orders of magnitude apart), LPT's
- * max-shard cost beats the contiguous split on the *recorded* cost
- * model (prior cycles from a warm result store).
+ * On the checked-in skewed smoke config (kyber768 vs. DES_ct — three
+ * orders of magnitude apart), LPT's max-shard cost beats the
+ * equal-blocks split on the *recorded* cost model (prior cycles from
+ * a warm result store).
  */
-TEST(ShardSchedulerTest, LptBeatsContiguousOnSkewedSmokeConfig)
+TEST(ShardSchedulerTest, LptBeatsEqualBlocksOnSkewedSmokeConfig)
 {
     const auto spec = core::loadExperimentSpec(
         std::string(CASSANDRA_CONFIG_DIR) + "/ci_smoke_skewed.json");
-    ASSERT_TRUE(spec.schedulerSet);
-    EXPECT_EQ(spec.scheduler, core::ShardScheduler::Lpt);
 
     // Record the real per-cell cycle counts into a fresh store.
     const std::string dir =
@@ -482,12 +472,10 @@ TEST(ShardSchedulerTest, LptBeatsContiguousOnSkewedSmokeConfig)
         EXPECT_GT(costs[i], 0u);
     }
 
-    auto contiguous = core::scheduleShards(
-        core::ShardScheduler::Contiguous, costs, 4);
-    auto lpt =
-        core::scheduleShards(core::ShardScheduler::Lpt, costs, 4);
+    auto lpt = core::scheduleShards(costs, 4);
     expectCoversAllCells(lpt, costs.size());
-    EXPECT_LT(maxShardLoad(costs, lpt), maxShardLoad(costs, contiguous));
+    EXPECT_LT(maxShardLoad(costs, lpt),
+              maxShardLoad(costs, equalBlocks(costs.size(), 4)));
 }
 
 #endif // CASSANDRA_CONFIG_DIR
@@ -531,7 +519,7 @@ TEST(SubprocessExecutorTest, DeterministicAcrossShardCounts)
     }
 }
 
-TEST(SubprocessExecutorTest, CrashedWorkerCellsAreRetriedInProcess)
+TEST(SubprocessExecutorTest, CrashedAgentCellsAreRetriedInProcess)
 {
     ASSERT_NE(workerBinary, nullptr);
     ExperimentMatrix matrix;
@@ -540,10 +528,8 @@ TEST(SubprocessExecutorTest, CrashedWorkerCellsAreRetriedInProcess)
     const std::string want =
         jsonReport(ExperimentRunner(registryCache()).run(matrix));
 
-    SubprocessShardExecutor::Options opts;
-    opts.shards = 2;
-    opts.workerBinary = workerBinary;
-    auto executor = std::make_shared<SubprocessShardExecutor>(opts);
+    auto executor =
+        std::make_shared<RemoteShardExecutor>(privateBoxOptions(2));
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "1", 1), 0);
     auto exp = ExperimentRunner(registryCache(),
                                 subprocessOptions(2), executor)
@@ -551,9 +537,36 @@ TEST(SubprocessExecutorTest, CrashedWorkerCellsAreRetriedInProcess)
     unsetenv("CASSANDRA_TEST_WORKER_CRASH");
 
     EXPECT_EQ(want, jsonReport(exp));
-    EXPECT_EQ(executor->stats().shardsLaunched, 2u);
-    EXPECT_EQ(executor->stats().shardsFailed, 1u);
+    EXPECT_EQ(executor->stats().agentsSpawned, 2u);
+    EXPECT_EQ(executor->stats().tasksCompleted, 1u);
+    EXPECT_EQ(executor->stats().tasksFailed, 1u);
+    EXPECT_EQ(executor->stats().tasksTimedOut, 0u);
     EXPECT_GT(executor->stats().cellsRetried, 0u);
+}
+
+TEST(SubprocessExecutorTest, DeadAgentIsNoticedLongBeforeTheDeadline)
+{
+    // The agent dies holding its claim. Reaping while polling fails
+    // the task at once; only the deadline would notice otherwise.
+    ASSERT_NE(workerBinary, nullptr);
+    ExperimentMatrix matrix;
+    matrix.workloads = {"ChaCha20_ct"};
+    matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+
+    RemoteShardExecutor::Options opts = privateBoxOptions(1);
+    opts.taskTimeoutMs = 60000;
+    auto executor = std::make_shared<RemoteShardExecutor>(opts);
+    ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);
+    const auto start = std::chrono::steady_clock::now();
+    ExperimentRunner(registryCache(), subprocessOptions(1), executor)
+        .run(matrix);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    unsetenv("CASSANDRA_TEST_WORKER_CRASH");
+
+    EXPECT_LT(elapsed, std::chrono::milliseconds(opts.taskTimeoutMs / 4));
+    EXPECT_EQ(executor->stats().tasksFailed, 1u);
+    EXPECT_EQ(executor->stats().tasksTimedOut, 0u);
+    EXPECT_EQ(executor->stats().cellsRetried, 2u);
 }
 
 /** Names of the entries (excluding . and ..) in a directory. */
@@ -572,70 +585,64 @@ listDir(const std::string &path)
     return names;
 }
 
-TEST(SubprocessExecutorTest, ScratchDirIsRemovedOnSuccess)
+TEST(SubprocessExecutorTest, PrivateBoxIsRemovedOnSuccess)
 {
     ASSERT_NE(workerBinary, nullptr);
-    // Process-unique: kept directories from prior (failed) test runs
-    // must not leak into this run's assertions.
-    const std::string base = testing::TempDir() + "/scratch-success-" +
+    // Process-unique: kept boxes from prior (failed) test runs must
+    // not leak into this run's assertions.
+    const std::string base = testing::TempDir() + "/box-success-" +
         std::to_string(getpid());
     ExperimentMatrix matrix;
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
 
-    SubprocessShardExecutor::Options opts;
-    opts.shards = 2;
-    opts.workerBinary = workerBinary;
+    RemoteShardExecutor::Options opts = privateBoxOptions(2);
     opts.scratchDir = base;
-    auto executor = std::make_shared<SubprocessShardExecutor>(opts);
+    auto executor = std::make_shared<RemoteShardExecutor>(opts);
     ExperimentRunner(registryCache(), subprocessOptions(2), executor)
         .run(matrix);
 
-    // The per-call subdirectory (manifests, result sets, stderr
-    // captures) is swept after a successful run.
+    // The per-call box (snapshots, manifests, agent stderr and
+    // scratch) is deleted after a successful run.
     EXPECT_TRUE(listDir(base).empty());
 }
 
-TEST(SubprocessExecutorTest, ScratchDirIsKeptOnFailure)
+TEST(SubprocessExecutorTest, PrivateBoxIsKeptOnFailure)
 {
     ASSERT_NE(workerBinary, nullptr);
-    const std::string base = testing::TempDir() + "/scratch-failure-" +
+    const std::string base = testing::TempDir() + "/box-failure-" +
         std::to_string(getpid());
     ExperimentMatrix matrix;
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline};
 
-    SubprocessShardExecutor::Options opts;
-    opts.shards = 1;
-    opts.workerBinary = workerBinary;
+    RemoteShardExecutor::Options opts = privateBoxOptions(1);
     opts.scratchDir = base;
     opts.retryInProcess = false; // make the crash fatal
-    auto executor = std::make_shared<SubprocessShardExecutor>(opts);
+    auto executor = std::make_shared<RemoteShardExecutor>(opts);
     ExperimentRunner runner(registryCache(), subprocessOptions(1),
                             executor);
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);
     EXPECT_THROW(runner.run(matrix), WorkerError);
     unsetenv("CASSANDRA_TEST_WORKER_CRASH");
 
-    // The failed run's scratch subdirectory survives, with the
-    // manifest and captured stderr inside for debugging.
+    // The failed run's box survives, with the dead agent's captured
+    // stderr inside for debugging.
     const auto kept = listDir(base);
     ASSERT_EQ(kept.size(), 1u);
-    EXPECT_FALSE(listDir(base + "/" + kept[0]).empty());
+    EXPECT_EQ(listDir(base + "/" + kept[0] + "/logs").size(), 1u);
 }
 
-TEST(SubprocessExecutorTest, WorkerFailureIsTypedWithStderr)
+TEST(SubprocessExecutorTest, AgentFailureIsTypedWithStderr)
 {
     ASSERT_NE(workerBinary, nullptr);
     ExperimentMatrix matrix;
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline};
 
-    SubprocessShardExecutor::Options opts;
-    opts.shards = 1;
-    opts.workerBinary = workerBinary;
+    RemoteShardExecutor::Options opts = privateBoxOptions(1);
     opts.retryInProcess = false; // surface the failure directly
-    auto executor = std::make_shared<SubprocessShardExecutor>(opts);
+    auto executor = std::make_shared<RemoteShardExecutor>(opts);
     ExperimentRunner runner(registryCache(), subprocessOptions(1),
                             executor);
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);
@@ -646,7 +653,7 @@ TEST(SubprocessExecutorTest, WorkerFailureIsTypedWithStderr)
     } catch (const WorkerError &e) {
         unsetenv("CASSANDRA_TEST_WORKER_CRASH");
         EXPECT_EQ(e.shard(), 0u);
-        // The shard's stderr rides along on the typed error.
+        // The agent's stderr rides along on the typed error.
         EXPECT_NE(e.stderrText().find("injected crash"),
                   std::string::npos)
             << e.what();

@@ -197,31 +197,26 @@ TEST(ExperimentConfigTest, TraceCompressionParses)
                  std::invalid_argument);
 }
 
-TEST(ExperimentConfigTest, CacheAndSchedulerParse)
+TEST(ExperimentConfigTest, CacheSettingsParse)
 {
-    // Defaults: cache off, contiguous scheduler, nothing spelled.
+    // Defaults: cache off, nothing spelled.
     ExperimentSpec plain = parseExperimentSpec(
         R"({"workloads": ["A"], "schemes": ["SPT"]})");
     EXPECT_FALSE(plain.cacheModeSet);
     EXPECT_EQ(plain.cacheMode, core::CacheMode::Off);
     EXPECT_TRUE(plain.cacheDir.empty());
-    EXPECT_FALSE(plain.schedulerSet);
-    EXPECT_EQ(plain.scheduler, core::ShardScheduler::Contiguous);
     EXPECT_TRUE(plain.statsOut.empty());
 
     ExperimentSpec spec = parseExperimentSpec(R"({
       "workloads": ["A"],
       "schemes": ["SPT"],
-      "execution": {"mode": "subprocess", "shards": 4,
-                    "scheduler": "lpt"},
+      "execution": {"mode": "subprocess", "shards": 4},
       "cache": {"mode": "on", "dir": "my-cache"},
       "report": {"format": "json", "stats_out": "stats.json"}
     })");
     EXPECT_TRUE(spec.cacheModeSet);
     EXPECT_EQ(spec.cacheMode, core::CacheMode::On);
     EXPECT_EQ(spec.cacheDir, "my-cache");
-    EXPECT_TRUE(spec.schedulerSet);
-    EXPECT_EQ(spec.scheduler, core::ShardScheduler::Lpt);
     EXPECT_EQ(spec.statsOut, "stats.json");
 
     // Readonly accepts both spellings.
@@ -236,7 +231,8 @@ TEST(ExperimentConfigTest, CacheAndSchedulerParse)
                   .cacheMode,
               core::CacheMode::Readonly);
 
-    // Unknown modes, schedulers and keys fail loudly.
+    // Unknown modes and keys fail loudly — the retired scheduler key
+    // included (LPT is the only shard scheduler).
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
                          "cache": {"mode": "maybe"}})"),
@@ -247,7 +243,7 @@ TEST(ExperimentConfigTest, CacheAndSchedulerParse)
                  std::invalid_argument);
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "execution": {"scheduler": "random"}})"),
+                         "execution": {"scheduler": "lpt"}})"),
                  std::invalid_argument);
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],

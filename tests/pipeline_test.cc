@@ -113,11 +113,14 @@ TEST_F(TimingTest, NoTimingSideChannelUnderCassandra)
     ASSERT_EQ(trace_a.size(), trace_b.size());
 
     const auto &image = analyzed->traces().image;
-    uarch::CoreParams params;
-    uarch::OooCore core_a(params, Scheme::Cassandra, w.program, &image);
-    uarch::OooCore core_b(params, Scheme::Cassandra, w.program, &image);
-    auto stats_a = core_a.run(trace_a);
-    auto stats_b = core_b.run(trace_b);
+    core::SimConfig cfg;
+    cfg.scheme = Scheme::Cassandra;
+    uarch::OooCore core_a(cfg, w.program, &image);
+    uarch::OooCore core_b(cfg, w.program, &image);
+    uarch::TraceSpanSource src_a(trace_a);
+    uarch::TraceSpanSource src_b(trace_b);
+    auto stats_a = core_a.run(src_a);
+    auto stats_b = core_b.run(src_b);
     EXPECT_EQ(stats_a.cycles, stats_b.cycles);
     EXPECT_EQ(stats_a.btuMismatches, 0u);
     EXPECT_EQ(stats_b.btuMismatches, 0u);
@@ -175,10 +178,10 @@ TEST(TaintTest, PropagationBasics)
 {
     auto w = crypto::syntheticMixWorkload("chacha20", 0);
     auto trace = uarch::recordTrace(w, 2);
-    uarch::annotateTaint(trace, w.program, w.secretRegions);
-    size_t tainted = 0;
-    for (const auto &op : trace)
-        tainted += op.tainted ? 1 : 0;
+    uarch::TraceSpanSource src(trace);
+    const uint64_t tainted =
+        uarch::computeTaintBitmap(src, w.secretRegions, trace.size())
+            .count();
     EXPECT_GT(tainted, 0u);
     EXPECT_LT(tainted, trace.size());
 }

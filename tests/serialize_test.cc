@@ -340,48 +340,24 @@ TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
     EXPECT_EQ(got.stats.cycles, want.stats.cycles);
 }
 
-TEST(ArtifactVersionTest, RawInlineCassaw3SnapshotsStillLoad)
+TEST(ArtifactVersionTest, Cassaw3SnapshotsAreEvicted)
 {
-    // Readers accept the previous container revision: CASSAW3 stored
-    // raw 24 B/op inline ops. Craft one from a CASSAW4 snapshot (the
-    // metadata section is layout-identical) plus the artifact's
-    // in-memory trace.
+    // CASSAW3 (raw 24 B/op inline ops) is no longer read: a snapshot
+    // labelled v3 raises the typed eviction error on both load paths,
+    // so caches drop it and re-analyze.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto v4 = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+    auto v3 = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+    v3[6] = '3'; // magic version digit
+    v3[8] = 3;   // u32 version field at [8, 12)
+    EXPECT_THROW(core::unpackAnalyzedWorkload(v3, resolver),
+                 core::ArtifactFormatError);
 
-    auto u32le = [](std::vector<uint8_t> &out, uint32_t v) {
-        for (int i = 0; i < 4; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    auto u64le = [&](std::vector<uint8_t> &out, uint64_t v) {
-        for (int i = 0; i < 8; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    // metaLen sits at bytes [12, 16); the meta section follows.
-    uint32_t meta_len = 0;
-    for (int i = 0; i < 4; i++)
-        meta_len |= static_cast<uint32_t>(v4[12 + i]) << (8 * i);
-
-    std::vector<uint8_t> v3;
-    for (char c : {'C', 'A', 'S', 'S', 'A', 'W', '3', '\n'})
-        v3.push_back(static_cast<uint8_t>(c));
-    u32le(v3, 3);
-    u32le(v3, meta_len);
-    v3.insert(v3.end(), v4.begin() + 16, v4.begin() + 16 + meta_len);
-    v3.push_back(0); // traceStorageInline
-    u64le(v3, artifact->numOps());
-    for (const auto &op : artifact->timingTrace()) {
-        u64le(v3, op.pc);
-        u64le(v3, op.memAddr);
-        u64le(v3, op.nextPc);
-    }
-
-    auto reloaded = core::unpackAnalyzedWorkload(v3, resolver);
-    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
-    auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
-    auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
-    EXPECT_EQ(got.stats.cycles, want.stats.cycles);
+    const std::string path = testing::TempDir() + "/cassaw3.aw";
+    core::writeFileBytes(path, v3);
+    EXPECT_THROW(core::loadAnalyzedWorkload(path, resolver),
+                 core::ArtifactFormatError);
+    std::remove(path.c_str());
 }
 
 TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)

@@ -109,7 +109,8 @@ TEST(ArtifactStoreTest, UploadsOncePerFingerprint)
     EXPECT_EQ(store.stats().artifactUploads, 1u);
     EXPECT_EQ(store.stats().artifactReuses, 2u);
 
-    EXPECT_EQ(store.fetchArtifact(key), bytes);
+    EXPECT_EQ(core::readFileBytes(store.fetchArtifact(key), "artifact"),
+              bytes);
 }
 
 TEST(ArtifactStoreTest, CorruptArtifactIsRejectedAndReuploaded)
@@ -132,8 +133,37 @@ TEST(ArtifactStoreTest, CorruptArtifactIsRejectedAndReuploaded)
     // The corrupt copy was evicted, so the next publish re-uploads
     // and readers see good bytes again.
     EXPECT_TRUE(store.publishArtifactOnce(key, bytes));
-    EXPECT_EQ(store.fetchArtifact(key), bytes);
+    EXPECT_EQ(core::readFileBytes(store.fetchArtifact(key), "artifact"),
+              bytes);
     EXPECT_EQ(store.stats().artifactUploads, 2u);
+}
+
+TEST(ArtifactStoreTest, AnySingleBitFlipFailsValidation)
+{
+    // Larger than one hashing chunk, with a ragged tail, so the flips
+    // land in the first block, across the chunk seam and in the
+    // zero-padded last block.
+    const std::string root = freshDir("box-bitflip");
+    ArtifactStore store(root);
+    const std::string key =
+        ArtifactStore::artifactKey(0x0123456789abcdefull,
+                                   core::artifactFormatVersion);
+    std::vector<uint8_t> bytes((1u << 20) + 37);
+    for (size_t i = 0; i < bytes.size(); i++)
+        bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+    ASSERT_TRUE(store.publishArtifactOnce(key, bytes));
+    EXPECT_EQ(readText(root + "/" + key + ".sum").rfind("CASSUM2 ", 0),
+              0u);
+
+    for (size_t offset : {size_t{0}, size_t{(1u << 20) - 1},
+                          size_t{1u << 20}, bytes.size() - 1}) {
+        std::vector<uint8_t> flipped = bytes;
+        flipped[offset] ^= 0x10;
+        core::writeFileBytes(root + "/" + key, flipped);
+        EXPECT_FALSE(store.hasValidArtifact(key)) << "offset " << offset;
+    }
+    core::writeFileBytes(root + "/" + key, bytes);
+    EXPECT_TRUE(store.hasValidArtifact(key));
 }
 
 TEST(ArtifactStoreTest, TasksAreClaimedExactlyOnce)

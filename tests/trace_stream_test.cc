@@ -550,40 +550,47 @@ TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
 }
 
 // ---------------------------------------------------------------------
-// Taint bitmap vs. legacy annotated trace
+// Artifact taint bitmap vs. the scalar taint walk
 // ---------------------------------------------------------------------
 
-TEST(TaintBitmapTest, MatchesLegacyAnnotatedTraceFlags)
+/** The scalar taint walk over a freshly recorded evaluation trace. */
+uarch::TaintBitmap
+scalarTaint(const core::Workload &w, const uarch::TimingTrace &trace)
+{
+    uarch::TraceSpanSource src(trace);
+    return uarch::computeTaintBitmap(src, w.secretRegions, trace.size());
+}
+
+TEST(TaintBitmapTest, MatchesScalarTaintWalk)
 {
     for (const char *name : {"ChaCha20_ct", "synthetic/chacha20/0"}) {
         core::Workload w = workload(name);
         ASSERT_FALSE(w.secretRegions.empty()) << name;
-        auto legacy = uarch::recordTrace(w, 2);
-        uarch::annotateTaint(legacy, w.program, w.secretRegions);
+        const auto trace = uarch::recordTrace(w, 2);
+        const uarch::TaintBitmap scalar = scalarTaint(w, trace);
 
         auto artifact = AnalyzedWorkload::analyze(workload(name));
         const uarch::TaintBitmap &bitmap = artifact->taintBitmap();
-        ASSERT_EQ(bitmap.size(), legacy.size()) << name;
-        uint64_t expect_tainted = 0;
-        for (size_t i = 0; i < legacy.size(); i++) {
-            ASSERT_EQ(bitmap.test(i), legacy[i].tainted)
+        ASSERT_EQ(bitmap.size(), scalar.size()) << name;
+        for (size_t i = 0; i < scalar.size(); i++)
+            ASSERT_EQ(bitmap.test(i), scalar.test(i))
                 << name << " op " << i;
-            expect_tainted += legacy[i].tainted ? 1 : 0;
-        }
-        EXPECT_EQ(bitmap.count(), expect_tainted);
-        EXPECT_GT(expect_tainted, 0u) << name;
+        EXPECT_EQ(bitmap.count(), scalar.count());
+        EXPECT_GT(scalar.count(), 0u) << name;
     }
 }
 
-TEST(TaintBitmapTest, BitmapRunsMatchLegacyTaintedTraceAllSchemes)
+TEST(TaintBitmapTest, BitmapRunsMatchPerOpTaintFlagsAllSchemes)
 {
-    // The legacy path (annotated trace copy, op-embedded flags through
-    // OooCore::run(trace)) and the bitmap path (pristine trace + 1
-    // bit/op sidecar) must be cycle-for-cycle identical.
+    // The per-op path (a trace copy carrying each op's taint flag,
+    // replayed without a bitmap) and the bitmap path (pristine trace
+    // + 1 bit/op sidecar) must be cycle-for-cycle identical.
     const char *name = "synthetic/curve25519/50";
     core::Workload w = workload(name);
     auto tainted = uarch::recordTrace(w, 2);
-    uarch::annotateTaint(tainted, w.program, w.secretRegions);
+    const uarch::TaintBitmap taint = scalarTaint(w, tainted);
+    for (size_t i = 0; i < tainted.size(); i++)
+        tainted[i].tainted = taint.test(i);
 
     auto artifact = AnalyzedWorkload::analyze(workload(name));
     Simulation sim(artifact);
@@ -593,15 +600,16 @@ TEST(TaintBitmapTest, BitmapRunsMatchLegacyTaintedTraceAllSchemes)
         const core::TraceImage *image = nullptr;
         if (uarch::schemeIsCassandra(s))
             image = &artifact->traces().image;
-        uarch::OooCore legacy_core(cfg, w.program, image);
-        auto legacy_stats = legacy_core.run(tainted);
+        uarch::OooCore per_op_core(cfg, w.program, image);
+        uarch::TraceSpanSource src(tainted);
+        auto per_op_stats = per_op_core.run(src);
         auto bitmap_stats = sim.run(s).stats;
         SCOPED_TRACE(uarch::schemeName(s));
-        EXPECT_EQ(bitmap_stats.cycles, legacy_stats.cycles);
+        EXPECT_EQ(bitmap_stats.cycles, per_op_stats.cycles);
         EXPECT_EQ(bitmap_stats.prospectBlocks,
-                  legacy_stats.prospectBlocks);
+                  per_op_stats.prospectBlocks);
         EXPECT_EQ(bitmap_stats.schemeLoadDelays,
-                  legacy_stats.schemeLoadDelays);
+                  per_op_stats.schemeLoadDelays);
     }
 }
 
