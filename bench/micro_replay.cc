@@ -23,7 +23,6 @@ using namespace cassandra;
 
 namespace {
 
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
@@ -60,24 +59,19 @@ mirror()
     return soa;
 }
 
-/** Stream file of the same trace (CASSTF1 raw / CASSTF2 delta). */
+/** CASSTF2 stream file of the same trace (written once). */
 const std::string &
-streamFile(TraceCompression compression)
+streamFile()
 {
-    static std::string paths[2];
-    std::string &path =
-        paths[compression == TraceCompression::Delta ? 1 : 0];
-    if (path.empty()) {
-        path = std::string("/tmp/micro_replay-") +
-            (compression == TraceCompression::Delta ? "tf2" : "tf1") +
-            ".trace";
+    static const std::string path = [] {
+        const std::string p = "/tmp/micro_replay-tf2.trace";
         TraceStreamWriter writer(
-            path, core::programFingerprint(workload().program),
-            core::traceStreamDefaultFrameOps, compression);
+            p, core::programFingerprint(workload().program));
         for (const TimingOp &op : trace())
             writer.append(op);
         writer.finish();
-    }
+        return p;
+    }();
     return path;
 }
 
@@ -187,7 +181,8 @@ BENCHMARK(BM_ReplaySpanBatchShared);
 void
 BM_ReplayCursorScalar(benchmark::State &state)
 {
-    const std::string &path = streamFile(TraceCompression::Delta);
+    // next() copies single ops out of the same decoded SoA frame.
+    const std::string &path = streamFile();
     for (auto _ : state) {
         TraceCursor src(path, workload().program);
         benchmark::DoNotOptimize(drainScalar(src));
@@ -198,24 +193,11 @@ BM_ReplayCursorScalar(benchmark::State &state)
 BENCHMARK(BM_ReplayCursorScalar);
 
 void
-BM_ReplayCursorBatchRaw(benchmark::State &state)
-{
-    // CASSTF1: raw 24 B/op frames, batch decode straight into SoA.
-    const std::string &path = streamFile(TraceCompression::None);
-    for (auto _ : state) {
-        TraceCursor src(path, workload().program);
-        benchmark::DoNotOptimize(drainBatched(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
-}
-BENCHMARK(BM_ReplayCursorBatchRaw);
-
-void
 BM_ReplayCursorBatchDelta(benchmark::State &state)
 {
-    // CASSTF2: delta/zig-zag varint frames (decodeTraceFrameSoA).
-    const std::string &path = streamFile(TraceCompression::Delta);
+    // Delta/zig-zag varint frames decoded straight into SoA
+    // (decodeTraceFrameSoA), served as zero-copy views.
+    const std::string &path = streamFile();
     for (auto _ : state) {
         TraceCursor src(path, workload().program);
         benchmark::DoNotOptimize(drainBatched(src));

@@ -121,7 +121,6 @@ AnalyzedWorkload::AnalyzedWorkload(Workload workload,
                                    std::string streamPath)
     : workload_(std::move(workload)), kmers_(options.kmers),
       fusion_(options.fusion), traceMode_(options.traceMode),
-      streamCompression_(options.compression),
       streamPath_(std::move(streamPath))
 {
 }
@@ -196,8 +195,7 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
             // byte-compared against.
             if (traceMode_ == TraceMode::Stream) {
                 TraceStreamWriter writer(
-                    streamPath_, programFingerprint(workload_.program),
-                    traceStreamDefaultFrameOps, streamCompression_);
+                    streamPath_, programFingerprint(workload_.program));
                 numOps_ = uarch::recordTrace(
                     workload_, /*which=*/2,
                     [&](const uarch::TimingOp &op) {
@@ -226,8 +224,7 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
         std::unique_ptr<TaintConsumer> taintConsumer;
         if (traceMode_ == TraceMode::Stream) {
             writer = std::make_unique<TraceStreamWriter>(
-                streamPath_, programFingerprint(workload_.program),
-                traceStreamDefaultFrameOps, streamCompression_);
+                streamPath_, programFingerprint(workload_.program));
             writeConsumer =
                 std::make_unique<StreamWriteConsumer>(*writer);
             consumers.push_back(writeConsumer.get());
@@ -532,7 +529,7 @@ AnalysisCache::key(const std::string &name)
 
 AnalyzedWorkload::Ptr
 AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
-                   TraceMode mode, TraceCompression compression) const
+                   TraceMode mode) const
 {
     const std::string k = key(name);
     const AnalysisPhaseMask want = options_.phases | phases;
@@ -562,7 +559,6 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
         AnalyzeOptions options = options_;
         options.phases = want;
         options.traceMode = mode;
-        options.compression = compression;
         auto artifact =
             AnalyzedWorkload::analyze(resolver_(name), options);
         promise.set_value(artifact);
@@ -575,13 +571,6 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
         entries_.erase(k);
         throw;
     }
-}
-
-AnalyzedWorkload::Ptr
-AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
-                   TraceMode mode) const
-{
-    return get(name, phases, mode, options_.compression);
 }
 
 AnalyzedWorkload::Ptr

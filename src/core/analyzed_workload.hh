@@ -132,9 +132,6 @@ struct AnalyzeOptions
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
     std::string streamDir;
-    /** Stream-file encoding: raw CASSTF1 or delta-compressed CASSTF2
-     * (the default; replay is bit-identical either way). */
-    TraceCompression compression = TraceCompression::Delta;
     /** Fused single-pass analysis vs. the serial reference passes
      * (results are byte-identical; this only picks the machinery). */
     AnalysisFusion fusion = AnalysisFusion::Auto;
@@ -305,7 +302,6 @@ class AnalyzedWorkload
     KmersParams kmers_;
     AnalysisFusion fusion_ = AnalysisFusion::Auto;
     TraceMode traceMode_ = TraceMode::Whole;
-    TraceCompression streamCompression_ = TraceCompression::Delta;
     mutable uarch::TimingTrace trace_; ///< whole mode (empty streamed)
     std::string streamPath_;           ///< stream mode
     mutable uint64_t numOps_ = 0;
@@ -379,14 +375,10 @@ class AnalysisCache
      * request. Blocks while another thread analyzes the same name;
      * analysis failures propagate to every waiter. `phases` (merged
      * with the cache's default phases) are guaranteed to have run on
-     * the returned artifact; `mode` and `compression` override the
-     * cache's trace mode/stream encoding for a first-request analysis
-     * (cached artifacts keep the storage they were analyzed with —
-     * results are identical either way).
+     * the returned artifact; `mode` overrides the cache's trace mode
+     * for a first-request analysis (cached artifacts keep the storage
+     * they were analyzed with — results are identical either way).
      */
-    AnalyzedWorkload::Ptr get(const std::string &name,
-                              AnalysisPhaseMask phases, TraceMode mode,
-                              TraceCompression compression) const;
     AnalyzedWorkload::Ptr get(const std::string &name,
                               AnalysisPhaseMask phases,
                               TraceMode mode) const;

@@ -3,7 +3,7 @@
  * Content-addressed artifact store ("drop box") for multi-process and
  * multi-host shard dispatch.
  *
- * The coordinator/agent protocol is host-agnostic: CASSSM2 manifests
+ * The coordinator/agent protocol is host-agnostic: CASSSM3 manifests
  * plus self-contained CASSAW4 snapshots in, CASSCR1 result sets out,
  * all addressed by store keys rather than paths. The ArtifactStore is
  * the drop box they travel through — private to one run under

@@ -161,14 +161,14 @@ InProcessExecutor::execute(const std::vector<PlannedCell> &cells,
 }
 
 // ---------------------------------------------------------------------
-// Shard manifests (CASSSM2)
+// Shard manifests (CASSSM3)
 // ---------------------------------------------------------------------
 
 namespace {
 
 constexpr char manifestMagic[8] = {'C', 'A', 'S', 'S',
-                                   'S', 'M', '2', '\n'};
-constexpr uint32_t manifestVersion = 2;
+                                   'S', 'M', '3', '\n'};
+constexpr uint32_t manifestVersion = 3;
 
 void
 packCacheParams(ByteWriter &w, const uarch::CacheParams &c)
@@ -225,7 +225,6 @@ packSimConfig(ByteWriter &w, const SimConfig &cfg)
     w.u64(cfg.btu.ways);
     w.u32(cfg.btu.fillLatency);
     w.u8(cfg.traceMode == TraceMode::Stream ? 1 : 0);
-    w.u8(cfg.traceCompression == TraceCompression::None ? 0 : 1);
 }
 
 SimConfig
@@ -260,9 +259,18 @@ unpackSimConfig(ByteReader &r)
     cfg.btu.sets = static_cast<size_t>(r.u64());
     cfg.btu.ways = static_cast<size_t>(r.u64());
     cfg.btu.fillLatency = r.u32();
-    cfg.traceMode = r.u8() ? TraceMode::Stream : TraceMode::Whole;
-    cfg.traceCompression =
-        r.u8() ? TraceCompression::Delta : TraceCompression::None;
+    const uint8_t mode = r.u8();
+    if (mode > 1)
+        throw ArtifactFormatError("shard manifest has trace-mode byte " +
+                                  std::to_string(mode) +
+                                  ", expected 0 or 1");
+    cfg.traceMode = mode ? TraceMode::Stream : TraceMode::Whole;
+    // A hostile manifest must not reach the timing model with a
+    // geometry that divides by zero or never retires an op.
+    const std::string bad = invalidGeometryKey(cfg);
+    if (!bad.empty())
+        throw ArtifactFormatError("shard manifest config \"" + cfg.name +
+                                  "\" has " + bad + " = 0");
     return cfg;
 }
 

@@ -16,7 +16,7 @@
  *
  *  - RemoteShardExecutor (core/remote_executor.hh) is the one
  *    out-of-process backend. It partitions the cells into shards with
- *    the LPT scheduler below, ships each shard as a CASSSM2 manifest
+ *    the LPT scheduler below, ships each shard as a CASSSM3 manifest
  *    plus the CASSAW4 snapshots it needs through a drop box, and
  *    merges the agents' CASSCR1 result sets back by global cell
  *    index, so any shard partition — and any completion order —
@@ -180,12 +180,14 @@ struct ShardManifest
     std::vector<PlannedCell> cells;
 };
 
-/** Serialize a manifest (magic "CASSSM2\n"). */
+/** Serialize a manifest (magic "CASSSM3\n"). */
 std::vector<uint8_t> packShardManifest(const ShardManifest &manifest);
 
 /**
- * Parse CASSSM2 bytes back into a manifest.
- * @throws ArtifactFormatError on bad magic/version,
+ * Parse CASSSM3 bytes back into a manifest.
+ * @throws ArtifactFormatError on bad magic/version, a trace-mode
+ *         byte other than 0/1 or a zero geometry field
+ *         (invalidGeometryKey),
  *         std::invalid_argument on truncated or inconsistent bytes.
  */
 ShardManifest unpackShardManifest(const std::vector<uint8_t> &bytes);

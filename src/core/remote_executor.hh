@@ -3,7 +3,7 @@
  * The out-of-process cell executor: shard dispatch over the
  * content-addressed artifact store.
  *
- * RemoteShardExecutor publishes CASSSM2 shard manifests and CASSAW4
+ * RemoteShardExecutor publishes CASSSM3 shard manifests and CASSAW4
  * snapshots into an ArtifactStore drop box and lets *agents* —
  * `run_experiment --agent --inbox=DIR` processes, on this host or any
  * host that can see the box — claim tasks, execute them and publish

@@ -151,7 +151,7 @@ constexpr uint8_t artifactHasTraceImage = 1u << 0;
 
 /** Storage kind of the snapshot's trace section. */
 constexpr uint8_t traceStorageInline = 0; ///< in-file ops, whole mode
-constexpr uint8_t traceStorageStream = 1; ///< embedded CASSTF1/2 file
+constexpr uint8_t traceStorageStream = 1; ///< embedded CASSTF2 file
 
 /** magic(8) + version(4) + metaLen(4). */
 constexpr size_t snapshotPrefixBytes = 16;
@@ -445,18 +445,6 @@ opToBytes(const uarch::TimingOp &op, uint8_t *out)
     }
 }
 
-uarch::TimingOp
-opFromBytes(const uint8_t *p)
-{
-    uarch::TimingOp op;
-    for (int b = 0; b < 8; b++) {
-        op.pc |= static_cast<uint64_t>(p[b]) << (8 * b);
-        op.memAddr |= static_cast<uint64_t>(p[8 + b]) << (8 * b);
-        op.nextPc |= static_cast<uint64_t>(p[16 + b]) << (8 * b);
-    }
-    return op;
-}
-
 /**
  * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
  * codec frames) back into an in-memory trace. The reader's backing
@@ -478,7 +466,7 @@ readFramedOps(ByteReader &r, uint64_t num_ops)
             "truncated AnalyzedWorkload snapshot");
     uarch::TimingTrace trace;
     trace.reserve(num_ops);
-    std::vector<uint8_t> decoded;
+    std::vector<uint64_t> pc, mem, next;
     uint64_t done = 0;
     while (done < num_ops) {
         const size_t n = static_cast<size_t>(
@@ -491,11 +479,18 @@ readFramedOps(ByteReader &r, uint64_t num_ops)
             static_cast<uint32_t>(frame[3]) << 16 |
             static_cast<uint32_t>(frame[4]) << 24;
         r.raw(payload);
-        decoded.resize(n * traceStreamOpBytes);
-        decodeTraceFrameInto(frame, 5 + payload, n, decoded.data());
-        for (size_t i = 0; i < n; i++)
-            trace.push_back(
-                opFromBytes(decoded.data() + i * traceStreamOpBytes));
+        pc.resize(n);
+        mem.resize(n);
+        next.resize(n);
+        decodeTraceFrameSoA(frame, 5 + payload, n, pc.data(), mem.data(),
+                            next.data());
+        for (size_t i = 0; i < n; i++) {
+            uarch::TimingOp op;
+            op.pc = pc[i];
+            op.memAddr = mem[i];
+            op.nextPc = next[i];
+            trace.push_back(op);
+        }
         done += n;
     }
     inline_ops_read.fetch_add(num_ops, std::memory_order_relaxed);
@@ -682,11 +677,11 @@ packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
     writeSnapshotHead(w, meta);
 
     if (aw.streamed()) {
-        // Embed the (typically delta-compressed) trace stream file
-        // verbatim: the op vector is never materialized, and the
-        // embedded file keeps its own fingerprint for load-time
-        // validation. saveAnalyzedWorkload never even builds this
-        // blob in memory — it chunk-copies file to file.
+        // Embed the CASSTF2 trace stream file verbatim: the op
+        // vector is never materialized, and the embedded file keeps
+        // its own fingerprint for load-time validation.
+        // saveAnalyzedWorkload never even builds this blob in memory
+        // — it chunk-copies file to file.
         uint64_t blob_len = 0;
         std::ifstream src = openStreamFile(aw, blob_len);
         w.u8(traceStorageStream);

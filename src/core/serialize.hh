@@ -27,9 +27,8 @@
  * as CASSTF2-codec frames (delta + zig-zag varint with per-frame raw
  * fallback — the same codec trace stream files use, typically ~7x
  * smaller than the historical 24 B/op section), while a streamed
- * artifact embeds its trace *stream file* (CASSTF1/2, typically
- * delta-compressed) by chunked copy — saving and loading never
- * materialize the op vector. Only CASSAW4 is written or read; every
+ * artifact embeds its CASSTF2 trace *stream file* by chunked copy —
+ * saving and loading never materialize the op vector. Only CASSAW4 is written or read; every
  * older revision raises the typed eviction error.
  * loadAnalyzedWorkload extracts an embedded stream back to a trace
  * file and rehydrates straight into stream mode, validating both the

@@ -65,40 +65,6 @@ traceModeFromName(const std::string &name)
                                 "\" (expected whole or stream)");
 }
 
-/**
- * On-disk encoding of stream-mode trace files.
- *
- * None writes the raw 24 B/op CASSTF1 container. Delta writes the
- * CASSTF2 container: per-frame pc/nextPc/memAddr deltas in zig-zag
- * varints (dynamic instruction streams are overwhelmingly sequential,
- * so most ops shrink to a few bytes), falling back to a raw frame when
- * a frame does not compress. Readers accept both containers; replay is
- * bit-identical either way, so this only trades a little encode/decode
- * CPU against a lot of disk (and artifact-snapshot) size.
- */
-enum class TraceCompression
-{
-    None,
-    Delta,
-};
-
-inline const char *
-traceCompressionName(TraceCompression compression)
-{
-    return compression == TraceCompression::None ? "none" : "delta";
-}
-
-inline TraceCompression
-traceCompressionFromName(const std::string &name)
-{
-    if (name == "none" || name == "raw")
-        return TraceCompression::None;
-    if (name == "delta")
-        return TraceCompression::Delta;
-    throw std::invalid_argument("unknown trace compression \"" + name +
-                                "\" (expected none or delta)");
-}
-
 /** Scheme + core + BTU parameters of one timing run. */
 struct SimConfig
 {
@@ -115,14 +81,6 @@ struct SimConfig
      * any streaming cell streams the whole workload).
      */
     TraceMode traceMode = TraceMode::Whole;
-    /**
-     * Requested stream-file encoding (only meaningful for streamed
-     * analyses). Like traceMode this is resolved per workload at
-     * analysis time: artifacts are shared across cells, so a single
-     * cell requesting uncompressed (None) streams makes the runner
-     * record that workload raw.
-     */
-    TraceCompression traceCompression = TraceCompression::Delta;
 
     /** Copy with a new report label. */
     SimConfig
@@ -178,16 +136,47 @@ struct SimConfig
         c.traceMode = mode;
         return c;
     }
-
-    /** Copy under another stream-file encoding. */
-    SimConfig
-    withTraceCompression(TraceCompression compression) const
-    {
-        SimConfig c = *this;
-        c.traceCompression = compression;
-        return c;
-    }
 };
+
+/**
+ * The first geometry field of `cfg` the timing model cannot run with,
+ * spelled as its config-file key ("core.rob_size", "core.l1d.ways",
+ * "btu.sets"), or "" when every one is usable. Each of these fields
+ * divides an address, sizes a ring or paces a per-cycle loop, so 0
+ * would crash or hang the simulator. The config parser and the shard
+ * manifest reader both reject a config this flags.
+ */
+inline std::string
+invalidGeometryKey(const SimConfig &cfg)
+{
+    const uarch::CoreParams &c = cfg.core;
+    const std::pair<const char *, uint64_t> fields[] = {
+        {"core.fetch_width", c.fetchWidth},
+        {"core.commit_width", c.commitWidth},
+        {"core.issue_width", c.issueWidth},
+        {"core.rob_size", c.robSize},
+        {"core.iq_size", c.iqSize},
+        {"core.lq_size", c.lqSize},
+        {"core.sq_size", c.sqSize},
+        {"core.num_alu", c.numAlu},
+        {"core.num_mul", c.numMul},
+        {"core.num_lsu", c.numLsu},
+        {"core.l1i.line_bytes", c.l1i.lineBytes},
+        {"core.l1i.ways", c.l1i.ways},
+        {"core.l1d.line_bytes", c.l1d.lineBytes},
+        {"core.l1d.ways", c.l1d.ways},
+        {"core.l2.line_bytes", c.l2.lineBytes},
+        {"core.l2.ways", c.l2.ways},
+        {"core.l3.line_bytes", c.l3.lineBytes},
+        {"core.l3.ways", c.l3.ways},
+        {"btu.sets", cfg.btu.sets},
+        {"btu.ways", cfg.btu.ways},
+    };
+    for (const auto &[key, value] : fields)
+        if (value == 0)
+            return key;
+    return "";
+}
 
 } // namespace cassandra::core
 

@@ -1,44 +1,38 @@
 /**
  * @file
- * Chunked on-disk timing traces: fixed-size frames + index.
+ * Chunked on-disk timing traces: compressed frames + index.
  *
  * A trace stream file holds the dynamic instruction stream of one
  * workload run (pc, memAddr, nextPc per op — the inst pointer and
  * crypto flag relink from the PC on read), grouped into frames of a
- * fixed op count followed by a frame-offset index and a footer. Two
- * container versions share the header/index/footer layout and differ
- * only in how a frame stores its ops:
+ * fixed op count followed by a frame-offset index and a footer. The
+ * one container is CASSTF2:
  *
- *   CASSTF1 — raw frames, 24 B/op:
- *     "CASSTF1\n" | u32 version=1 | u32 frameOps | u64 fingerprint
- *     | u64 numOps | frames (ops * 24 B each) ...
- *     | index (u64 offset per frame) | u64 indexPos | u64 numFrames
+ *   "CASSTF2\n" | u32 version=2 | u32 frameOps | u64 fingerprint
+ *   | u64 numOps | frames (u8 kind | u32 payloadBytes | payload) ...
+ *   | index (u64 offset per frame) | u64 indexPos | u64 numFrames
  *
- *   CASSTF2 — compressed frames:
- *     "CASSTF2\n" | u32 version=2 | ... same header fields ...
- *     | frames (u8 kind | u32 payloadBytes | payload) ...
- *     | index | footer as above
- *
- * A CASSTF2 delta frame (kind 1) exploits that a dynamic instruction
- * stream is overwhelmingly sequential: the first op stores pc /
- * memAddr / nextPc as plain varints, every later op stores
- * zig-zag varints of (pc - prev.nextPc), (memAddr - prev.memAddr) and
+ * A delta frame (kind 1) exploits that a dynamic instruction stream is
+ * overwhelmingly sequential: the first op stores pc / memAddr / nextPc
+ * as plain varints, every later op stores zig-zag varints of
+ * (pc - prev.nextPc), (memAddr - prev.memAddr) and
  * (nextPc - (pc + instBytes)) — all three are zero for straight-line
  * code, so typical ops take 3 bytes instead of 24. Frames stay
  * independently decodable (random access needs no history across
  * frames), and a frame whose delta encoding would not beat 24 B/op is
- * written raw (kind 0), so adversarial streams never grow past CASSTF1
- * plus the 5-byte frame headers.
+ * written raw (kind 0), so adversarial streams never grow past 24 B/op
+ * plus the 5-byte frame headers. Files of any other revision (the
+ * retired all-raw CASSTF1 included) raise ArtifactFormatError.
  *
- * TraceStreamWriter produces either container incrementally (one frame
+ * TraceStreamWriter produces the container incrementally (one frame
  * buffer resident, never the whole trace) and fails fast on I/O errors
  * so a disk-full run cannot leave a silently-corrupt index behind;
- * TraceCursor replays both containers as a uarch::TimingOpSource
- * through an mmap-backed view (with sequential madvise and per-frame
- * drop of consumed pages) or a buffered one-frame reader, so peak
- * memory stays at one frame regardless of trace length. The program
- * fingerprint guards stale files exactly like AnalyzedWorkload
- * snapshots guard stale artifacts.
+ * TraceCursor replays it as a uarch::TimingOpSource through an
+ * mmap-backed view (with sequential madvise and per-frame drop of
+ * consumed pages) or a buffered one-frame reader, so peak memory stays
+ * at one frame regardless of trace length. The program fingerprint
+ * guards stale files exactly like AnalyzedWorkload snapshots guard
+ * stale artifacts.
  */
 
 #ifndef CASSANDRA_CORE_TRACE_STREAM_HH
@@ -51,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sim_config.hh"
 #include "ir/program.hh"
 #include "uarch/pipeline.hh"
 
@@ -92,7 +85,7 @@ class ArtifactStaleError : public ArtifactError
 /** Bytes per raw serialized op (pc, memAddr, nextPc). */
 constexpr size_t traceStreamOpBytes = 24;
 
-/** Default ops per frame (raw 24 B/op -> 768 KiB frames). */
+/** Default ops per frame (768 KiB of raw 24 B/op input). */
 constexpr uint32_t traceStreamDefaultFrameOps = 1u << 15;
 
 /**
@@ -104,27 +97,13 @@ constexpr uint32_t traceStreamDefaultFrameOps = 1u << 15;
 std::vector<uint8_t> encodeTraceFrame(const std::vector<uint8_t> &raw_ops);
 
 /**
- * Decode one CASSTF2 frame back into raw 24 B/op bytes.
+ * Decode one CASSTF2 frame into structure-of-arrays buffers: parallel
+ * pc/memAddr/nextPc arrays of num_ops elements each. The one frame
+ * decoder — TraceCursor replay and CASSAW4 inline sections both use it.
  * @param frame the full frame as written by encodeTraceFrame
  * @param frame_len bytes available at `frame`
  * @param num_ops expected op count of the frame
  * @throws ArtifactFormatError on truncated or inconsistent frames
- */
-std::vector<uint8_t> decodeTraceFrame(const uint8_t *frame,
-                                      size_t frame_len, size_t num_ops);
-
-/** decodeTraceFrame into a caller-owned buffer of at least
- * num_ops * traceStreamOpBytes bytes (the replay hot path reuses one
- * frame buffer instead of allocating per frame). */
-void decodeTraceFrameInto(const uint8_t *frame, size_t frame_len,
-                          size_t num_ops, uint8_t *out);
-
-/**
- * Decode one CASSTF2 frame directly into structure-of-arrays replay
- * buffers: parallel pc/memAddr/nextPc arrays of num_ops elements each.
- * Produces exactly the values decodeTraceFrameInto would, without the
- * intermediate 24 B/op AoS form — this is the batched replay path's
- * decoder (TraceCursor::nextBatch).
  */
 void decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
                          size_t num_ops, uint64_t *pc, uint64_t *mem_addr,
@@ -139,12 +118,10 @@ class TraceStreamWriter
      * @param program_fingerprint core::programFingerprint of the
      *        program the trace belongs to
      * @param frame_ops ops per frame (>0)
-     * @param compression None writes CASSTF1, Delta writes CASSTF2
      */
-    TraceStreamWriter(
-        const std::string &path, uint64_t program_fingerprint,
-        uint32_t frame_ops = traceStreamDefaultFrameOps,
-        TraceCompression compression = TraceCompression::Delta);
+    TraceStreamWriter(const std::string &path,
+                      uint64_t program_fingerprint,
+                      uint32_t frame_ops = traceStreamDefaultFrameOps);
     ~TraceStreamWriter();
 
     TraceStreamWriter(const TraceStreamWriter &) = delete;
@@ -179,7 +156,6 @@ class TraceStreamWriter
 
     uint64_t numOps() const { return numOps_; }
     const std::string &path() const { return path_; }
-    TraceCompression compression() const { return compression_; }
 
   private:
     void flushFrame();
@@ -188,7 +164,6 @@ class TraceStreamWriter
     std::string path_;
     std::ofstream file_;
     uint32_t frameOps_;
-    TraceCompression compression_;
     uint64_t numOps_ = 0;
     std::vector<uint8_t> frame_;
     std::vector<uint64_t> frameOffsets_;
@@ -196,9 +171,10 @@ class TraceStreamWriter
 };
 
 /**
- * Replays a trace stream file (either container version) as a
- * TimingOpSource, relinking each op against `program` (which must
- * outlive the cursor and match the stored fingerprint).
+ * Replays a trace stream file as a TimingOpSource, relinking each op
+ * against `program` (which must outlive the cursor and match the
+ * stored fingerprint). Both next() and nextBatch() serve ops from one
+ * decoded frame, so they interleave freely.
  */
 class TraceCursor final : public uarch::TimingOpSource
 {
@@ -217,6 +193,7 @@ class TraceCursor final : public uarch::TimingOpSource
     TraceCursor(const TraceCursor &) = delete;
     TraceCursor &operator=(const TraceCursor &) = delete;
 
+    /** One op at a time, copied out of the current decoded frame. */
     const uarch::TimingOp *next() override;
 
     /**
@@ -225,6 +202,7 @@ class TraceCursor final : public uarch::TimingOpSource
      * zero-copy views into the decoded frame, so a batch never crosses
      * a frame boundary. Relinking (inst pointer + crypto flag) uses a
      * per-static-instruction table instead of the per-op range scan.
+     * next() reads the same frame, so it shares all of the below.
      *
      * Decode-ahead: while the caller replays frame N's batches, a
      * background worker decodes + relinks frame N+1 into a second SoA
@@ -242,9 +220,6 @@ class TraceCursor final : public uarch::TimingOpSource
 
     uint64_t numOps() const { return numOps_; }
     bool mmapped() const { return map_ != nullptr; }
-    /** Container version of the open file (1 = CASSTF1 raw frames,
-     * 2 = CASSTF2 compressed frames). */
-    uint32_t formatVersion() const { return version_; }
 
     /** True once this cursor's decode-ahead worker is running. */
     bool prefetching() const { return prefetch_ != nullptr; }
@@ -259,10 +234,9 @@ class TraceCursor final : public uarch::TimingOpSource
   private:
     struct Prefetch; ///< decode-ahead worker (trace_stream.cc)
 
-    void loadFrame(uint64_t frame);
     void loadFrameSoA(uint64_t frame);
     /** loadFrameSoA through the prefetcher when enabled (starting it
-     * lazily on the first batched frame). */
+     * lazily on the first frame). */
     void ensureFrameSoA(uint64_t frame);
     void maybeStartPrefetch();
     /**
@@ -275,14 +249,12 @@ class TraceCursor final : public uarch::TimingOpSource
                      std::ifstream &file,
                      std::vector<uint8_t> &scratch) const;
     void dropConsumedFrames(uint64_t upto);
-    const uint8_t *opBytes(uint64_t index);
     uint64_t frameOps(uint64_t frame) const;
     uint64_t frameEnd(uint64_t frame) const;
 
     const ir::Program &program_;
     std::string path_;
     std::ifstream file_;
-    uint32_t version_ = 0;
     uint64_t numOps_ = 0;
     uint32_t frameOps_ = 0;
     uint64_t numFrames_ = 0;
@@ -294,17 +266,14 @@ class TraceCursor final : public uarch::TimingOpSource
     size_t mapLen_ = 0;
     uint64_t droppedFrames_ = 0; ///< frames already madvise()d away
 
-    // one decoded/buffered frame (all backings for v2; non-mmap for v1)
-    std::vector<uint8_t> frame_;
-    std::vector<uint8_t> scratch_; ///< encoded v2 frame (buffered read)
-    uint64_t loadedFrame_ = ~0ull;
+    std::vector<uint8_t> scratch_; ///< encoded frame (buffered read)
 
-    // batch path: one frame decoded SoA + relinked, served as views
+    // one frame decoded SoA + relinked, served as views or single ops
     uarch::OpBatchStorage soa_;
     uint64_t soaFrame_ = ~0ull;
     std::vector<uint8_t> cryptoByIndex_; ///< crypto flag per static inst
 
-    // decode-ahead worker (lazily started by the first batched frame)
+    // decode-ahead worker (lazily started by the first frame)
     std::unique_ptr<Prefetch> prefetch_;
     bool prefetchChecked_ = false;
 

@@ -42,7 +42,10 @@ Cache::linePool()
 
 Cache::Cache(const CacheParams &params) : params_(params)
 {
-    numSets_ = params_.sizeBytes / (params_.lineBytes * params_.ways);
+    // 64-bit product: lineBytes * ways must not wrap to 0 in u32.
+    numSets_ = static_cast<uint32_t>(
+        params_.sizeBytes /
+        (static_cast<uint64_t>(params_.lineBytes) * params_.ways));
     if (numSets_ == 0)
         numSets_ = 1;
     lineShift_ = log2Exact(params_.lineBytes);

@@ -131,7 +131,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     cell.config.core.robSize = 64;
     cell.config.core.l2.sizeBytes = 256 * 1024;
     cell.config.traceMode = core::TraceMode::Stream;
-    cell.config.traceCompression = core::TraceCompression::None;
     manifest.indices = {17};
     manifest.cells = {cell};
 
@@ -153,7 +152,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     EXPECT_EQ(c.config.core.l2.sizeBytes, 256u * 1024);
     EXPECT_EQ(c.config.core.btuFlushPeriod, 12000000u);
     EXPECT_EQ(c.config.traceMode, core::TraceMode::Stream);
-    EXPECT_EQ(c.config.traceCompression, core::TraceCompression::None);
 }
 
 TEST(ShardManifestTest, CorruptManifestIsRejected)
@@ -176,6 +174,17 @@ TEST(ShardManifestTest, CorruptManifestIsRejected)
 
     std::vector<uint8_t> cut(bytes.begin(), bytes.end() - 7);
     EXPECT_THROW(core::unpackShardManifest(cut), std::invalid_argument);
+
+    // The trace-mode byte closes the last cell's config, so it is the
+    // manifest's final byte: only 0 (whole) and 1 (stream) are valid.
+    std::vector<uint8_t> bad_mode = bytes;
+    ASSERT_EQ(bad_mode.back(), 0u);
+    bad_mode.back() = 1;
+    EXPECT_EQ(core::unpackShardManifest(bad_mode).cells[0].config.traceMode,
+              core::TraceMode::Stream);
+    bad_mode.back() = 2;
+    EXPECT_THROW(core::unpackShardManifest(bad_mode),
+                 core::ArtifactFormatError);
 }
 
 // ---------------------------------------------------------------------

@@ -2,15 +2,21 @@
  * @file
  * Tests for the JSON experiment-config front end: schema mapping into
  * ExperimentMatrix/SimConfig, scheme-name aliases, report/threads/
- * artifacts settings, and loud failures on malformed input.
+ * artifacts settings, and loud failures on malformed input — zero
+ * geometry fields included, which the shard-manifest reader rejects
+ * the same way.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 
+#include "bench/bench_util.hh"
+#include "core/cell_executor.hh"
 #include "core/experiment_config.hh"
+#include "core/trace_stream.hh"
 
 namespace {
 
@@ -150,51 +156,173 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
                  std::invalid_argument);
 }
 
-TEST(ExperimentConfigTest, TraceCompressionParses)
+TEST(ExperimentConfigTest, TraceModeParses)
 {
-    // Sweep-level trace_compression seeds every config; per-config
-    // overrides win; defaults are stream-off + delta.
+    // Sweep-level trace_mode seeds every config; per-config overrides
+    // win; the default is whole-trace.
     ExperimentSpec plain = parseExperimentSpec(
         R"({"workloads": ["A"], "schemes": ["SPT"]})");
-    EXPECT_FALSE(plain.traceCompressionSet);
-    EXPECT_EQ(plain.traceCompression, core::TraceCompression::Delta);
+    EXPECT_FALSE(plain.traceModeSet);
+    EXPECT_EQ(plain.traceMode, core::TraceMode::Whole);
+    EXPECT_TRUE(plain.matrix.configs.empty());
 
     ExperimentSpec spec = parseExperimentSpec(R"({
       "workloads": ["A"],
       "schemes": ["SPT"],
-      "trace_mode": "stream",
-      "trace_compression": "none",
       "configs": [
-        {"name": "raw"},
-        {"name": "delta", "trace_compression": "delta"}
-      ]
+        {"name": "inherits"},
+        {"name": "whole", "trace_mode": "whole"}
+      ],
+      "trace_mode": "stream"
     })");
-    EXPECT_TRUE(spec.traceCompressionSet);
-    EXPECT_EQ(spec.traceCompression, core::TraceCompression::None);
+    EXPECT_TRUE(spec.traceModeSet);
     ASSERT_EQ(spec.matrix.configs.size(), 2u);
-    EXPECT_EQ(spec.matrix.configs[0].traceCompression,
-              core::TraceCompression::None);
-    EXPECT_EQ(spec.matrix.configs[1].traceCompression,
-              core::TraceCompression::Delta);
+    EXPECT_EQ(spec.matrix.configs[0].traceMode, core::TraceMode::Stream);
+    EXPECT_EQ(spec.matrix.configs[1].traceMode, core::TraceMode::Whole);
 
-    // A sweep-level compression request materializes the implicit
-    // default config so it reaches the runner.
+    // A sweep-level stream request materializes the implicit default
+    // config so it reaches the runner.
     ExperimentSpec implicit = parseExperimentSpec(
         R"({"workloads": ["A"], "schemes": ["SPT"],
-            "trace_compression": "none"})");
+            "trace_mode": "stream"})");
     ASSERT_EQ(implicit.matrix.configs.size(), 1u);
-    EXPECT_EQ(implicit.matrix.configs[0].traceCompression,
-              core::TraceCompression::None);
+    EXPECT_EQ(implicit.matrix.configs[0].traceMode,
+              core::TraceMode::Stream);
 
-    // Unknown compression values fail loudly.
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "trace_compression": "gzip"})"),
+                         "trace_mode": "chunked"})"),
                  std::invalid_argument);
-    EXPECT_THROW(parseExperimentSpec(
-                     R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "configs": [{"trace_compression": 3}]})"),
-                 std::invalid_argument);
+}
+
+/** The schema error parseExperimentSpec raises for `json`, or "". */
+std::string
+schemaError(const std::string &json)
+{
+    try {
+        parseExperimentSpec(json);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ExperimentConfigTest, TraceCompressionKeyIsRejected)
+{
+    // Stream files have one encoding; the retired knob is an unknown
+    // key at both levels, whatever its value.
+    for (const char *value : {"\"delta\"", "\"none\""}) {
+        const std::string sweep = schemaError(
+            std::string(R"({"workloads": ["A"], "schemes": ["SPT"],
+                            "trace_compression": )") +
+            value + "}");
+        EXPECT_NE(sweep.find("trace_compression: unknown top-level key"),
+                  std::string::npos)
+            << sweep;
+        const std::string per_config = schemaError(
+            std::string(R"({"workloads": ["A"], "schemes": ["SPT"],
+                            "configs": [{"trace_compression": )") +
+            value + "}]}");
+        EXPECT_NE(per_config.find("configs[0].trace_compression: "
+                                  "unknown config key"),
+                  std::string::npos)
+            << per_config;
+    }
+}
+
+TEST(ExperimentConfigDeathTest, TraceCompressionFlagIsUnknown)
+{
+    const char *argv[] = {"bench", "--trace-compression=delta"};
+    EXPECT_EXIT(bench::parseCli(2, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(2),
+                "unknown option: --trace-compression=delta");
+}
+
+/**
+ * Every geometry field the timing model divides by, sizes a ring
+ * with or paces a per-cycle loop with: at 0 each one used to crash
+ * (SIGFPE/SIGSEGV) or hang the simulator.
+ */
+struct ZeroGeometryRow
+{
+    const char *configJson; ///< one configs[] entry setting the field
+    const char *key;        ///< invalidGeometryKey's spelling
+    std::function<void(core::SimConfig &)> zero;
+};
+
+const ZeroGeometryRow zeroGeometryRows[] = {
+    {R"({"btu": {"sets": 0}})", "btu.sets",
+     [](core::SimConfig &c) { c.btu.sets = 0; }},
+    {R"({"btu": {"ways": 0}})", "btu.ways",
+     [](core::SimConfig &c) { c.btu.ways = 0; }},
+    {R"({"core": {"l1d": {"ways": 0}}})", "core.l1d.ways",
+     [](core::SimConfig &c) { c.core.l1d.ways = 0; }},
+    {R"({"core": {"l2": {"ways": 0}}})", "core.l2.ways",
+     [](core::SimConfig &c) { c.core.l2.ways = 0; }},
+    {R"({"core": {"l1d": {"line_bytes": 0}}})", "core.l1d.line_bytes",
+     [](core::SimConfig &c) { c.core.l1d.lineBytes = 0; }},
+    {R"({"core": {"rob_size": 0}})", "core.rob_size",
+     [](core::SimConfig &c) { c.core.robSize = 0; }},
+    {R"({"core": {"iq_size": 0}})", "core.iq_size",
+     [](core::SimConfig &c) { c.core.iqSize = 0; }},
+    {R"({"core": {"lq_size": 0}})", "core.lq_size",
+     [](core::SimConfig &c) { c.core.lqSize = 0; }},
+    {R"({"core": {"sq_size": 0}})", "core.sq_size",
+     [](core::SimConfig &c) { c.core.sqSize = 0; }},
+    {R"({"core": {"issue_width": 0}})", "core.issue_width",
+     [](core::SimConfig &c) { c.core.issueWidth = 0; }},
+    {R"({"core": {"commit_width": 0}})", "core.commit_width",
+     [](core::SimConfig &c) { c.core.commitWidth = 0; }},
+    {R"({"core": {"num_alu": 0}})", "core.num_alu",
+     [](core::SimConfig &c) { c.core.numAlu = 0; }},
+    {R"({"core": {"num_lsu": 0}})", "core.num_lsu",
+     [](core::SimConfig &c) { c.core.numLsu = 0; }},
+    {R"({"core": {"num_mul": 0}})", "core.num_mul",
+     [](core::SimConfig &c) { c.core.numMul = 0; }},
+};
+
+TEST(ExperimentConfigTest, ZeroGeometryIsRejectedByConfigAndManifest)
+{
+    for (const ZeroGeometryRow &row : zeroGeometryRows) {
+        SCOPED_TRACE(row.key);
+        // Config file: a schema error naming the key.
+        const std::string error = schemaError(
+            std::string(R"({"workloads": ["RSA_i62"],
+                            "schemes": ["Cassandra"], "configs": [)") +
+            row.configJson + "]}");
+        EXPECT_NE(error.find(std::string("configs[0].") + row.key +
+                             ": must be at least 1"),
+                  std::string::npos)
+            << error;
+        // ... and 1 is accepted.
+        std::string one = row.configJson;
+        one.replace(one.find(": 0"), 3, ": 1");
+        EXPECT_EQ(schemaError(std::string(R"({"workloads": ["RSA_i62"],
+                                             "schemes": ["Cassandra"],
+                                             "configs": [)") +
+                              one + "]}"),
+                  "");
+
+        // Shard manifest: the typed format error, before any cell can
+        // reach the timing model.
+        core::SimConfig cfg;
+        row.zero(cfg);
+        EXPECT_EQ(core::invalidGeometryKey(cfg), row.key);
+        core::ShardManifest manifest;
+        manifest.indices = {0};
+        manifest.cells = {core::PlannedCell{"RSA_i62",
+                                            Scheme::Cassandra, cfg}};
+        const auto bytes = core::packShardManifest(manifest);
+        try {
+            core::unpackShardManifest(bytes);
+            ADD_FAILURE() << "manifest accepted";
+        } catch (const core::ArtifactFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(row.key),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(core::invalidGeometryKey(core::SimConfig{}), "");
 }
 
 TEST(ExperimentConfigTest, CacheSettingsParse)

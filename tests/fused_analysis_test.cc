@@ -41,7 +41,6 @@ using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::BatchConsumer;
 using core::ChunkSpanSource;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceMode;
 using core::TraceStreamWriter;
@@ -387,33 +386,23 @@ TEST(FusedArtifact, WholeModeParity)
 
 TEST(FusedArtifact, StreamFileBytesIdentical)
 {
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
-        AnalyzeOptions fusedOpts;
-        fusedOpts.fusion = AnalysisFusion::Fused;
-        fusedOpts.traceMode = TraceMode::Stream;
-        fusedOpts.compression = compression;
-        fusedOpts.streamDir = testing::TempDir() + "/fused-stream-f-" +
-            core::traceCompressionName(compression);
-        AnalyzeOptions refOpts = fusedOpts;
-        refOpts.fusion = AnalysisFusion::Reference;
-        refOpts.streamDir = testing::TempDir() + "/fused-stream-r-" +
-            core::traceCompressionName(compression);
+    AnalyzeOptions fusedOpts;
+    fusedOpts.fusion = AnalysisFusion::Fused;
+    fusedOpts.traceMode = TraceMode::Stream;
+    fusedOpts.streamDir = testing::TempDir() + "/fused-stream-f";
+    AnalyzeOptions refOpts = fusedOpts;
+    refOpts.fusion = AnalysisFusion::Reference;
+    refOpts.streamDir = testing::TempDir() + "/fused-stream-r";
 
-        const auto fused =
-            AnalyzedWorkload::analyze(workload("synthetic/chacha20/75"),
-                                      fusedOpts);
-        const auto ref =
-            AnalyzedWorkload::analyze(workload("synthetic/chacha20/75"),
-                                      refOpts);
-        EXPECT_EQ(fused->numOps(), ref->numOps());
-        ASSERT_NE(fused->streamPath(), ref->streamPath());
-        // The fused writer consumes whole SoA batches, the reference
-        // one op at a time; the container bytes must not differ.
-        EXPECT_EQ(readFile(fused->streamPath()),
-                  readFile(ref->streamPath()))
-            << "compression " << static_cast<int>(compression);
-    }
+    const auto fused = AnalyzedWorkload::analyze(
+        workload("synthetic/chacha20/75"), fusedOpts);
+    const auto ref = AnalyzedWorkload::analyze(
+        workload("synthetic/chacha20/75"), refOpts);
+    EXPECT_EQ(fused->numOps(), ref->numOps());
+    ASSERT_NE(fused->streamPath(), ref->streamPath());
+    // The fused writer consumes whole SoA batches, the reference one
+    // op at a time; the container bytes must not differ.
+    EXPECT_EQ(readFile(fused->streamPath()), readFile(ref->streamPath()));
 }
 
 // ---------------------------------------------------------------------
@@ -462,98 +451,98 @@ TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
     const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
     ASSERT_GT(trace.size(), 512u); // >= 2 frames at 256 ops/frame
 
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
-        const std::string path = "prefetch_parity.casstf";
-        {
-            TraceStreamWriter writer(
-                path, core::programFingerprint(w.program), 256,
-                compression);
-            for (const auto &op : trace)
-                writer.append(op);
-            writer.finish();
-        }
-        for (TraceCursor::Backing backing :
-             {TraceCursor::Backing::Mmap,
-              TraceCursor::Backing::Buffered}) {
-            SCOPED_TRACE("compression " +
-                         std::to_string(static_cast<int>(compression)) +
-                         " backing " +
-                         std::to_string(static_cast<int>(backing)));
-            // Synchronous reference.
-            uarch::TimingTrace sync;
-            {
-                ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "off");
-                TraceCursor cursor(path, w.program, backing);
-                uarch::OpBatch batch;
-                while (size_t n = cursor.nextBatch(batch, 17)) {
-                    for (size_t i = 0; i < n; i++) {
-                        uarch::TimingOp op;
-                        op.pc = batch.pc[i];
-                        op.memAddr = batch.memAddr[i];
-                        op.nextPc = batch.nextPc[i];
-                        op.inst = batch.inst[i];
-                        op.crypto = batch.crypto[i] != 0;
-                        sync.push_back(op);
-                    }
-                }
-                EXPECT_FALSE(cursor.prefetching());
-            }
-            expectSameOps(sync, trace, "sync cursor vs recorded");
-
-            // Decode-ahead, forced on; 17 never divides 256, so every
-            // frame boundary lands mid-batch-request.
-            const uint64_t served0 = TraceCursor::prefetchBatches();
-            uarch::TimingTrace pre;
-            {
-                ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
-                TraceCursor cursor(path, w.program, backing);
-                uarch::OpBatch batch;
-                while (size_t n = cursor.nextBatch(batch, 17)) {
-                    for (size_t i = 0; i < n; i++) {
-                        uarch::TimingOp op;
-                        op.pc = batch.pc[i];
-                        op.memAddr = batch.memAddr[i];
-                        op.nextPc = batch.nextPc[i];
-                        op.inst = batch.inst[i];
-                        op.crypto = batch.crypto[i] != 0;
-                        pre.push_back(op);
-                    }
-                }
-                EXPECT_TRUE(cursor.prefetching());
-            }
-            expectSameOps(pre, sync, "prefetch cursor vs sync");
-            // Every frame after the first was served by the worker.
-            EXPECT_GT(TraceCursor::prefetchBatches(), served0);
-        }
-        std::remove(path.c_str());
+    const std::string path = "prefetch_parity.casstf";
+    {
+        TraceStreamWriter writer(
+            path, core::programFingerprint(w.program), 256);
+        for (const auto &op : trace)
+            writer.append(op);
+        writer.finish();
     }
+    for (TraceCursor::Backing backing :
+         {TraceCursor::Backing::Mmap,
+          TraceCursor::Backing::Buffered}) {
+        SCOPED_TRACE("backing " +
+                     std::to_string(static_cast<int>(backing)));
+        // Synchronous reference.
+        uarch::TimingTrace sync;
+        {
+            ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "off");
+            TraceCursor cursor(path, w.program, backing);
+            uarch::OpBatch batch;
+            while (size_t n = cursor.nextBatch(batch, 17)) {
+                for (size_t i = 0; i < n; i++) {
+                    uarch::TimingOp op;
+                    op.pc = batch.pc[i];
+                    op.memAddr = batch.memAddr[i];
+                    op.nextPc = batch.nextPc[i];
+                    op.inst = batch.inst[i];
+                    op.crypto = batch.crypto[i] != 0;
+                    sync.push_back(op);
+                }
+            }
+            EXPECT_FALSE(cursor.prefetching());
+        }
+        expectSameOps(sync, trace, "sync cursor vs recorded");
+
+        // Decode-ahead, forced on; 17 never divides 256, so every
+        // frame boundary lands mid-batch-request.
+        const uint64_t served0 = TraceCursor::prefetchBatches();
+        uarch::TimingTrace pre;
+        {
+            ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
+            TraceCursor cursor(path, w.program, backing);
+            uarch::OpBatch batch;
+            while (size_t n = cursor.nextBatch(batch, 17)) {
+                for (size_t i = 0; i < n; i++) {
+                    uarch::TimingOp op;
+                    op.pc = batch.pc[i];
+                    op.memAddr = batch.memAddr[i];
+                    op.nextPc = batch.nextPc[i];
+                    op.inst = batch.inst[i];
+                    op.crypto = batch.crypto[i] != 0;
+                    pre.push_back(op);
+                }
+            }
+            EXPECT_TRUE(cursor.prefetching());
+        }
+        expectSameOps(pre, sync, "prefetch cursor vs sync");
+        // Every frame after the first was served by the worker.
+        EXPECT_GT(TraceCursor::prefetchBatches(), served0);
+    }
+    std::remove(path.c_str());
 }
 
-TEST(StreamPrefetch, ScalarPathUnaffected)
+TEST(StreamPrefetch, ScalarPathSharesThePrefetcher)
 {
     const core::Workload w = workload("synthetic/chacha20/75");
     const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
+    ASSERT_GT(trace.size(), 512u); // >= 2 frames at 256 ops/frame
     const std::string path = "prefetch_scalar.casstf";
     {
         TraceStreamWriter writer(
-            path, core::programFingerprint(w.program), 256,
-            TraceCompression::Delta);
+            path, core::programFingerprint(w.program), 256);
         for (const auto &op : trace)
             writer.append(op);
         writer.finish();
     }
     ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
+    const uint64_t served0 = TraceCursor::prefetchBatches();
     TraceCursor cursor(path, w.program);
     for (size_t i = 0; i < trace.size(); i++) {
         const uarch::TimingOp *op = cursor.next();
         ASSERT_NE(op, nullptr) << "op " << i;
         ASSERT_EQ(op->pc, trace[i].pc) << "op " << i;
+        ASSERT_EQ(op->memAddr, trace[i].memAddr) << "op " << i;
         ASSERT_EQ(op->nextPc, trace[i].nextPc) << "op " << i;
+        ASSERT_EQ(op->inst, trace[i].inst) << "op " << i;
+        ASSERT_EQ(op->crypto, trace[i].crypto) << "op " << i;
     }
     EXPECT_EQ(cursor.next(), nullptr);
-    // next() never batches, so the worker is never started.
-    EXPECT_FALSE(cursor.prefetching());
+    // next() reads the same decoded frames as nextBatch(), so frames
+    // after the first come from the decode-ahead worker too.
+    EXPECT_TRUE(cursor.prefetching());
+    EXPECT_GT(TraceCursor::prefetchBatches(), served0);
     std::remove(path.c_str());
 }
 
@@ -577,56 +566,52 @@ TEST(StreamWriterSeam, CrashBeforeFooterFailsLoudly)
     const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
     ASSERT_GT(trace.size(), 512u);
 
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
-        SCOPED_TRACE(static_cast<int>(compression));
-        const std::string path = "seam_full.casstf";
-        const std::string crashed = "seam_crashed.casstf";
-        g_seamBytes.clear();
-        g_seamPath.clear();
+    const std::string path = "seam_full.casstf";
+    const std::string crashed = "seam_crashed.casstf";
+    g_seamBytes.clear();
+    g_seamPath.clear();
 
-        TraceStreamWriter writer(
-            path, core::programFingerprint(w.program), 256, compression);
-        for (const auto &op : trace)
-            writer.append(op);
-        TraceStreamWriter::finishSeamHook = &seamSnapshot;
-        writer.finish();
-        TraceStreamWriter::finishSeamHook = nullptr;
+    TraceStreamWriter writer(
+        path, core::programFingerprint(w.program), 256);
+    for (const auto &op : trace)
+        writer.append(op);
+    TraceStreamWriter::finishSeamHook = &seamSnapshot;
+    writer.finish();
+    TraceStreamWriter::finishSeamHook = nullptr;
 
-        // The hook fired at the seam: every data frame was already
-        // durable, no index/footer byte had been issued yet. The only
-        // post-seam change inside the prefix is the header's numOps
-        // patch (bytes 24..32), so mask it before comparing.
-        ASSERT_EQ(g_seamPath, path);
-        const std::vector<uint8_t> full = readFile(path);
-        ASSERT_GT(full.size(), g_seamBytes.size());
-        ASSERT_GT(g_seamBytes.size(), 32u);
-        std::vector<uint8_t> prefix(full.begin(),
-                                    full.begin() +
-                                        static_cast<long>(
-                                            g_seamBytes.size()));
-        std::vector<uint8_t> seam = g_seamBytes;
-        std::fill(prefix.begin() + 24, prefix.begin() + 32, 0);
-        std::fill(seam.begin() + 24, seam.begin() + 32, 0);
-        ASSERT_EQ(prefix, seam);
+    // The hook fired at the seam: every data frame was already
+    // durable, no index/footer byte had been issued yet. The only
+    // post-seam change inside the prefix is the header's numOps
+    // patch (bytes 24..32), so mask it before comparing.
+    ASSERT_EQ(g_seamPath, path);
+    const std::vector<uint8_t> full = readFile(path);
+    ASSERT_GT(full.size(), g_seamBytes.size());
+    ASSERT_GT(g_seamBytes.size(), 32u);
+    std::vector<uint8_t> prefix(full.begin(),
+                                full.begin() +
+                                    static_cast<long>(
+                                        g_seamBytes.size()));
+    std::vector<uint8_t> seam = g_seamBytes;
+    std::fill(prefix.begin() + 24, prefix.begin() + 32, 0);
+    std::fill(seam.begin() + 24, seam.begin() + 32, 0);
+    ASSERT_EQ(prefix, seam);
 
-        // A file cut at the seam (crash between data-sync and footer)
-        // must fail loudly at open — the footer describes nothing.
-        writeFile(crashed, g_seamBytes);
-        EXPECT_THROW(TraceCursor(crashed, w.program),
-                     core::ArtifactError);
+    // A file cut at the seam (crash between data-sync and footer)
+    // must fail loudly at open — the footer describes nothing.
+    writeFile(crashed, g_seamBytes);
+    EXPECT_THROW(TraceCursor(crashed, w.program),
+                 core::ArtifactError);
 
-        // The finished file replays completely.
-        TraceCursor cursor(path, w.program);
-        EXPECT_EQ(cursor.numOps(), trace.size());
-        uint64_t ops = 0;
-        while (cursor.next())
-            ops++;
-        EXPECT_EQ(ops, trace.size());
+    // The finished file replays completely.
+    TraceCursor cursor(path, w.program);
+    EXPECT_EQ(cursor.numOps(), trace.size());
+    uint64_t ops = 0;
+    while (cursor.next())
+        ops++;
+    EXPECT_EQ(ops, trace.size());
 
-        std::remove(path.c_str());
-        std::remove(crashed.c_str());
-    }
+    std::remove(path.c_str());
+    std::remove(crashed.c_str());
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  * observably identical to the scalar next() path — same columns for
  * every batch size, and byte-identical timing results across every
  * scheme on both source kinds (in-memory span and chunked trace
- * stream, both encodings). The scalar reference is the default
+ * stream). The scalar reference is the default
  * TimingOpSource::nextBatch adapter, which batches through next().
  */
 
@@ -25,7 +25,6 @@ using namespace cassandra;
 using core::AnalyzedWorkload;
 using core::ExperimentResult;
 using core::SimConfig;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
@@ -95,13 +94,12 @@ expectBatchedColumnsEqualTrace(TimingOpSource &src,
  * batches to stop at frame boundaries (tail/partial batches). */
 std::string
 writeStream(const core::Workload &w, const TimingTrace &trace,
-            TraceCompression compression, uint32_t frame_ops)
+            uint32_t frame_ops)
 {
     const std::string path = testing::TempDir() + "/batch-" +
-        std::string(core::traceCompressionName(compression)) + "-" +
         std::to_string(frame_ops) + ".trace";
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
-                             frame_ops, compression);
+                             frame_ops);
     for (const auto &op : trace)
         writer.append(op);
     writer.finish();
@@ -196,7 +194,7 @@ TEST(BatchColumnsTest, SpanSourceMatchesTraceAtOddBatchSizes)
     }
 }
 
-TEST(BatchColumnsTest, CursorMatchesTraceBothEncodings)
+TEST(BatchColumnsTest, CursorMatchesTraceAtOddBatchSizes)
 {
     core::Workload w = workload("SHA-256");
     auto trace = uarch::recordTrace(w, 2);
@@ -204,19 +202,13 @@ TEST(BatchColumnsTest, CursorMatchesTraceBothEncodings)
     // 256-op frames force every batch to stop at a frame boundary;
     // default-sized frames exercise full-width batches with a tail.
     for (uint32_t frame_ops : {uint32_t{256}, uint32_t{1} << 15}) {
-        for (auto compression :
-             {TraceCompression::None, TraceCompression::Delta}) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         "/frameOps=" + std::to_string(frame_ops));
-            const std::string path =
-                writeStream(w, trace, compression, frame_ops);
-            for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
-                TraceCursor cursor(path, w.program);
-                expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
-            }
-            std::remove(path.c_str());
+        SCOPED_TRACE("frameOps=" + std::to_string(frame_ops));
+        const std::string path = writeStream(w, trace, frame_ops);
+        for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
+            TraceCursor cursor(path, w.program);
+            expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
         }
+        std::remove(path.c_str());
     }
 }
 
@@ -239,8 +231,7 @@ TEST(BatchColumnsTest, NextAndNextBatchShareOnePosition)
 {
     core::Workload w = workload("SHA-256");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string path =
-        writeStream(w, trace, TraceCompression::Delta, 256);
+    const std::string path = writeStream(w, trace, 256);
     TraceCursor cursor(path, w.program);
     // Scalar-consume into the middle of a frame, then switch to
     // batches: the batch must resume exactly where next() stopped.
@@ -261,17 +252,73 @@ TEST(BatchColumnsTest, NextAndNextBatchShareOnePosition)
     std::remove(path.c_str());
 }
 
+TEST(BatchColumnsTest, InterleavedNextAndNextBatchMatchAcrossFrames)
+{
+    // next() and nextBatch() read one decoded frame: alternating them
+    // in uneven runs that straddle every 256-op frame boundary must
+    // still replay the in-memory trace op for op, on both backings.
+    core::Workload w = workload("SHA-256");
+    auto trace = uarch::recordTrace(w, 2);
+    const std::string path = writeStream(w, trace, 256);
+    for (auto backing :
+         {TraceCursor::Backing::Buffered, TraceCursor::Backing::Auto}) {
+        SCOPED_TRACE(backing == TraceCursor::Backing::Buffered
+                         ? "buffered"
+                         : "auto");
+        TraceCursor cursor(path, w.program, backing);
+        auto expectOp = [&](size_t i, uint64_t pc, uint64_t mem,
+                            uint64_t next, const ir::Inst *inst,
+                            bool crypto) {
+            ASSERT_LT(i, trace.size());
+            EXPECT_EQ(pc, trace[i].pc) << "op " << i;
+            EXPECT_EQ(mem, trace[i].memAddr) << "op " << i;
+            EXPECT_EQ(next, trace[i].nextPc) << "op " << i;
+            EXPECT_EQ(inst, trace[i].inst) << "op " << i;
+            EXPECT_EQ(crypto, trace[i].crypto) << "op " << i;
+        };
+        size_t i = 0, boundary_switches = 0;
+        for (size_t round = 0; i < trace.size(); round++) {
+            // 1..97 scalar ops, then a batch of 1..301 (clipped at the
+            // frame end): run lengths coprime with the frame size.
+            const size_t scalar = 1 + (round * 37) % 97;
+            const size_t start = i;
+            for (size_t k = 0; k < scalar && i < trace.size(); k++, i++) {
+                const TimingOp *op = cursor.next();
+                ASSERT_NE(op, nullptr);
+                expectOp(i, op->pc, op->memAddr, op->nextPc, op->inst,
+                         op->crypto);
+            }
+            if (i > start && start / 256 != (i - 1) / 256)
+                boundary_switches++;
+            OpBatch batch;
+            const size_t n =
+                cursor.nextBatch(batch, 1 + (round * 53) % 301);
+            for (size_t b = 0; b < n; b++, i++)
+                expectOp(i, batch.pc[b], batch.memAddr[b],
+                         batch.nextPc[b], batch.inst[b],
+                         batch.crypto[b] != 0);
+        }
+        EXPECT_EQ(i, trace.size());
+        EXPECT_EQ(cursor.next(), nullptr);
+        OpBatch batch;
+        EXPECT_EQ(cursor.nextBatch(batch, 64), 0u);
+        EXPECT_GT(boundary_switches, 0u)
+            << "no scalar run crossed a frame boundary";
+    }
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Frame decoder equivalence
 // ---------------------------------------------------------------------
 
-TEST(BatchColumnsTest, SoADecoderMatchesAosDecoder)
+TEST(BatchColumnsTest, SoADecoderRoundTripsBothFrameKinds)
 {
     // Compressible (delta frame) and incompressible (raw fallback
-    // frame) payloads both decode to identical columns.
+    // frame) payloads both decode to columns equal to the encoded ops.
     auto check = [](const std::vector<uint8_t> &raw, size_t ops) {
         auto frame = core::encodeTraceFrame(raw);
-        auto aos = core::decodeTraceFrame(frame.data(), frame.size(), ops);
+        const std::vector<uint8_t> &aos = raw;
         std::vector<uint64_t> pc(ops), mem(ops), next(ops);
         core::decodeTraceFrameSoA(frame.data(), frame.size(), ops,
                                   pc.data(), mem.data(), next.data());
@@ -338,22 +385,15 @@ TEST(BatchParityTest, StreamSourceMatchesScalarAcrossSchemes)
     core::AnalyzeOptions options;
     options.traceMode = core::TraceMode::Stream;
     options.streamDir = testing::TempDir() + "/batch-parity-streams";
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        options.compression = compression;
-        auto aw =
-            AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
-        for (Scheme scheme : allSchemes) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         "/" + uarch::schemeName(scheme));
-            auto batched_src = aw->openOpSource();
-            auto batched = runScheme(aw, scheme, *batched_src);
-            auto scalar_inner = aw->openOpSource();
-            ScalarOnly scalar_src(*scalar_inner);
-            auto scalar = runScheme(aw, scheme, scalar_src);
-            EXPECT_EQ(allCounters(batched), allCounters(scalar));
-        }
+    auto aw = AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
+    for (Scheme scheme : allSchemes) {
+        SCOPED_TRACE(uarch::schemeName(scheme));
+        auto batched_src = aw->openOpSource();
+        auto batched = runScheme(aw, scheme, *batched_src);
+        auto scalar_inner = aw->openOpSource();
+        ScalarOnly scalar_src(*scalar_inner);
+        auto scalar = runScheme(aw, scheme, scalar_src);
+        EXPECT_EQ(allCounters(batched), allCounters(scalar));
     }
 }
 

@@ -12,9 +12,12 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <sstream>
 
+#include "bench/bench_util.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/casstf1.hh"
 
 namespace {
 
@@ -23,7 +26,6 @@ using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::BranchTrace;
 using core::Simulation;
-using core::TraceCompression;
 using core::TraceMode;
 using core::VanillaTrace;
 
@@ -168,74 +170,134 @@ TEST(ArtifactVersionTest, FingerprintMismatchIsTyped)
 // ---------------------------------------------------------------------
 
 AnalyzedWorkload::Ptr
-streamedArtifact(const char *name, TraceCompression compression,
-                 const std::string &dir)
+streamedArtifact(const char *name, const std::string &dir)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
     opts.streamDir = dir;
-    opts.compression = compression;
     return AnalyzedWorkload::analyze(resolver(name), opts);
+}
+
+uint64_t
+fileSize(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return static_cast<uint64_t>(in.tellg());
 }
 
 TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        SCOPED_TRACE(core::traceCompressionName(compression));
-        const std::string dir = testing::TempDir() + "/snap-" +
-            core::traceCompressionName(compression);
-        auto artifact =
-            streamedArtifact("ChaCha20_ct", compression, dir);
-        const std::string path = dir + "/chacha20.aw";
+    const std::string dir = testing::TempDir() + "/snap-roundtrip";
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
+    const std::string path = dir + "/chacha20.aw";
 
-        const core::SnapshotIoStats before = core::snapshotIoStats();
-        core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
-        auto reloaded = core::loadAnalyzedWorkload(path, resolver);
-        const core::SnapshotIoStats after = core::snapshotIoStats();
+    const core::SnapshotIoStats before = core::snapshotIoStats();
+    core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
+    auto reloaded = core::loadAnalyzedWorkload(path, resolver);
+    const core::SnapshotIoStats after = core::snapshotIoStats();
 
-        // The "never materializes" bar, observable via counters: a
-        // streamed round trip moves stream bytes, zero inline ops.
-        EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
-        EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);
-        EXPECT_GT(after.streamBytesCopied, before.streamBytesCopied);
+    // The "never materializes" bar, observable via counters: a
+    // streamed round trip moves stream bytes, zero inline ops.
+    EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
+    EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);
+    EXPECT_GT(after.streamBytesCopied, before.streamBytesCopied);
 
-        // Rehydrated straight into stream mode, not whole mode.
-        ASSERT_TRUE(reloaded->streamed());
-        EXPECT_THROW(reloaded->timingTrace(), std::logic_error);
-        EXPECT_EQ(reloaded->numOps(), artifact->numOps());
-        // ... on its own file (artifacts own + delete their streams).
-        EXPECT_NE(reloaded->streamPath(), artifact->streamPath());
+    // Rehydrated straight into stream mode, not whole mode.
+    ASSERT_TRUE(reloaded->streamed());
+    EXPECT_THROW(reloaded->timingTrace(), std::logic_error);
+    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
+    // ... on its own file (artifacts own + delete their streams).
+    EXPECT_NE(reloaded->streamPath(), artifact->streamPath());
 
-        // Identical timing results through the reloaded artifact.
-        auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
-        auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
-        EXPECT_EQ(got.stats.cycles, want.stats.cycles);
-        EXPECT_EQ(got.stats.instructions, want.stats.instructions);
-    }
+    // Identical timing results through the reloaded artifact.
+    auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
+    auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
+    EXPECT_EQ(got.stats.cycles, want.stats.cycles);
+    EXPECT_EQ(got.stats.instructions, want.stats.instructions);
 }
 
-TEST(StreamSnapshotTest, DeltaSnapshotsAreMuchSmallerThanRaw)
+TEST(StreamSnapshotTest, StreamedSnapshotsAreMuchSmallerThanRawOps)
 {
-    // Stream paths are deterministic per (name, program), so the two
-    // encodings get their own directories; the snapshots land side by
-    // side.
+    // The same snapshot with its embedded stream swapped for all-raw
+    // 24 B/op frames (CASSTF1 framing) would be over twice the size.
     const std::string dir = testing::TempDir() + "/snap-size";
-    auto raw = streamedArtifact("ChaCha20_ct", TraceCompression::None,
-                                dir + "/raw");
-    auto delta = streamedArtifact("ChaCha20_ct",
-                                  TraceCompression::Delta,
-                                  dir + "/delta");
-    core::saveAnalyzedWorkload(*raw, dir + "/raw.aw", "ChaCha20_ct");
-    core::saveAnalyzedWorkload(*delta, dir + "/delta.aw",
-                               "ChaCha20_ct");
-    auto size = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        return static_cast<size_t>(in.tellg());
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
+    const std::string path = dir + "/delta.aw";
+    core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
+    const uint64_t size = fileSize(path);
+    const uint64_t stream = fileSize(artifact->streamPath());
+    const core::Workload &w = artifact->workload();
+    const uint64_t raw_stream =
+        test::casstf1Bytes(core::programFingerprint(w.program),
+                           uarch::recordTrace(w, 2),
+                           core::traceStreamDefaultFrameOps)
+            .size();
+    EXPECT_LT(size * 2, size - stream + raw_stream)
+        << "snapshot " << size << " B, stream " << stream << " B";
+}
+
+TEST(StreamSnapshotTest, EmbeddedCasstf1IsEvictedAndReanalyzed)
+{
+    // A CASSAW4 snapshot whose embedded stream is the retired CASSTF1
+    // container fails to load with the typed eviction error; the bench
+    // artifact cache then deletes it, re-analyzes, saves a fresh
+    // snapshot, and the report is byte-identical.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    bench::CliOptions opts;
+    opts.traceMode = TraceMode::Stream;
+    opts.traceModeExplicit = true;
+    opts.artifactDir = testing::TempDir() + "/snap-casstf1";
+    opts.artifactSave = true;
+    opts.threads = 2;
+    core::ExperimentMatrix m;
+    m.workloads = {"ChaCha20_ct"};
+    m.schemes = {uarch::Scheme::UnsafeBaseline, uarch::Scheme::Cassandra};
+    auto report = [&] {
+        std::ostringstream os;
+        core::JsonReporter().write(bench::runMatrix(m, opts), os);
+        return os.str();
     };
-    EXPECT_LT(size(dir + "/delta.aw") * 2, size(dir + "/raw.aw"));
+    const std::string path =
+        bench::artifactPath(opts.artifactDir, "ChaCha20_ct");
+    std::remove(path.c_str());
+    const std::string want = report(); // analyzes and saves `path`
+
+    // The stream section is the snapshot's tail, after its u64 length.
+    std::vector<uint8_t> bytes = core::readFileBytes(path, "snapshot");
+    const char magic[] = "CASSTF2\n";
+    const size_t blob = static_cast<size_t>(
+        std::search(bytes.begin(), bytes.end(), magic, magic + 8) -
+        bytes.begin());
+    ASSERT_LT(blob, bytes.size());
+    ASSERT_GE(blob, 8u);
+    uint64_t len = 0;
+    for (int i = 0; i < 8; i++)
+        len |= static_cast<uint64_t>(bytes[blob - 8 + i]) << (8 * i);
+    ASSERT_EQ(len, bytes.size() - blob);
+    const core::Workload w = resolver("ChaCha20_ct");
+    const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
+    const std::vector<uint8_t> raw =
+        test::casstf1Bytes(core::programFingerprint(w.program), trace,
+                           core::traceStreamDefaultFrameOps);
+    bytes.resize(blob);
+    for (int i = 0; i < 8; i++)
+        bytes[blob - 8 + i] = static_cast<uint8_t>(raw.size() >> (8 * i));
+    bytes.insert(bytes.end(), raw.begin(), raw.end());
+    core::writeFileBytes(path, bytes);
+    EXPECT_THROW(core::loadAnalyzedWorkload(path, resolver),
+                 core::ArtifactFormatError);
+
+    testing::internal::CaptureStderr();
+    const std::string got = report();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("evicting"), std::string::npos) << err;
+    EXPECT_EQ(got, want);
+    // The rewritten snapshot embeds CASSTF2 and loads again.
+    auto reloaded = core::loadAnalyzedWorkload(path, resolver);
+    EXPECT_TRUE(reloaded->streamed());
+    EXPECT_EQ(reloaded->numOps(), trace.size());
 }
 
 TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
@@ -243,7 +305,7 @@ TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-bytes";
     auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+        streamedArtifact("ChaCha20_ct", dir);
     auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
     auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
     ASSERT_TRUE(reloaded->streamed());
@@ -260,7 +322,7 @@ TEST(StreamSnapshotTest, CorruptEmbeddedStreamIsRejectedOnLoad)
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-corrupt";
     auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+        streamedArtifact("ChaCha20_ct", dir);
     const std::string path = dir + "/corrupt.aw";
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
 
@@ -303,7 +365,7 @@ TEST(StreamSnapshotTest, ImageSurvivesStreamedSnapshot)
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-image";
     auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+        streamedArtifact("ChaCha20_ct", dir);
     (void)artifact->traces(); // run Algorithm 2 so it snapshots
     const std::string path = dir + "/image.aw";
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");

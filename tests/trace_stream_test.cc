@@ -18,6 +18,7 @@
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/casstf1.hh"
 
 namespace {
 
@@ -31,7 +32,6 @@ using core::ExperimentRunner;
 using core::RunnerOptions;
 using core::SimConfig;
 using core::Simulation;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceMode;
 using core::TraceStreamWriter;
@@ -80,11 +80,10 @@ getLe64(const std::vector<uint8_t> &bytes, size_t at)
 /** Write a multi-frame stream of a real trace; returns the op count. */
 uint64_t
 writeStream(const std::string &path, const core::Workload &w,
-            const uarch::TimingTrace &trace, TraceCompression compression,
-            uint32_t frame_ops = 256)
+            const uarch::TimingTrace &trace, uint32_t frame_ops = 256)
 {
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
-                             frame_ops, compression);
+                             frame_ops);
     for (const auto &op : trace)
         writer.append(op);
     writer.finish();
@@ -137,60 +136,110 @@ expectEqualResults(const ExperimentResult &a, const ExperimentResult &b,
 // Trace stream container
 // ---------------------------------------------------------------------
 
-TEST(TraceStreamTest, RoundTripBothBackingsBothFormats)
+TEST(TraceStreamTest, RoundTripBothBackings)
 {
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        // A small frame size forces multi-frame files + index use.
-        const std::string path = testing::TempDir() + "/chacha20-" +
-            core::traceCompressionName(compression) + ".trace";
-        writeStream(path, w, trace, compression);
-        for (auto backing : {TraceCursor::Backing::Buffered,
-                             TraceCursor::Backing::Auto}) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         (backing == TraceCursor::Backing::Buffered
-                              ? "/buffered"
-                              : "/auto"));
-            TraceCursor cursor(path, w.program, backing);
-            EXPECT_EQ(cursor.formatVersion(),
-                      compression == TraceCompression::Delta ? 2u : 1u);
-            ASSERT_EQ(cursor.numOps(), trace.size());
-            size_t i = 0;
-            for (const uarch::TimingOp *op = cursor.next(); op;
-                 op = cursor.next(), i++) {
-                ASSERT_LT(i, trace.size());
-                EXPECT_EQ(op->pc, trace[i].pc);
-                EXPECT_EQ(op->memAddr, trace[i].memAddr);
-                EXPECT_EQ(op->nextPc, trace[i].nextPc);
-                EXPECT_EQ(op->inst, trace[i].inst);
-                EXPECT_EQ(op->crypto, trace[i].crypto);
-            }
-            EXPECT_EQ(i, trace.size());
+    // A small frame size forces multi-frame files + index use.
+    const std::string path = testing::TempDir() + "/chacha20.trace";
+    writeStream(path, w, trace);
+    const std::vector<uint8_t> bytes = readFile(path);
+    ASSERT_GE(bytes.size(), 12u);
+    EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "CASSTF2\n");
+    EXPECT_EQ(bytes[8], 2u) << "u32 version field";
+    for (auto backing :
+         {TraceCursor::Backing::Buffered, TraceCursor::Backing::Auto}) {
+        SCOPED_TRACE(backing == TraceCursor::Backing::Buffered ? "buffered"
+                                                               : "auto");
+        TraceCursor cursor(path, w.program, backing);
+        ASSERT_EQ(cursor.numOps(), trace.size());
+        size_t i = 0;
+        for (const uarch::TimingOp *op = cursor.next(); op;
+             op = cursor.next(), i++) {
+            ASSERT_LT(i, trace.size());
+            EXPECT_EQ(op->pc, trace[i].pc);
+            EXPECT_EQ(op->memAddr, trace[i].memAddr);
+            EXPECT_EQ(op->nextPc, trace[i].nextPc);
+            EXPECT_EQ(op->inst, trace[i].inst);
+            EXPECT_EQ(op->crypto, trace[i].crypto);
         }
+        EXPECT_EQ(i, trace.size());
     }
 }
 
-TEST(TraceStreamTest, DeltaStreamsAreMuchSmallerThanRaw)
+TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
 {
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string raw_path = testing::TempDir() + "/size-raw.trace";
-    const std::string delta_path =
-        testing::TempDir() + "/size-delta.trace";
-    writeStream(raw_path, w, trace, TraceCompression::None,
-                core::traceStreamDefaultFrameOps);
-    writeStream(delta_path, w, trace, TraceCompression::Delta,
-                core::traceStreamDefaultFrameOps);
-    const size_t raw_size = readFile(raw_path).size();
-    const size_t delta_size = readFile(delta_path).size();
+    const std::string path = testing::TempDir() + "/size-delta.trace";
+    writeStream(path, w, trace, core::traceStreamDefaultFrameOps);
+    const size_t size = readFile(path).size();
+    // What an all-raw container (24 B/op, CASSTF1 framing) would take.
+    const size_t raw_size =
+        test::casstf1Bytes(core::programFingerprint(w.program), trace,
+                           core::traceStreamDefaultFrameOps)
+            .size();
     EXPECT_GE(raw_size, trace.size() * core::traceStreamOpBytes);
     // The acceptance bar is >= 2x; real instruction streams compress
     // far better (pc chains and fall-through nextPc are zero deltas).
-    EXPECT_LT(delta_size * 2, raw_size)
-        << "delta=" << delta_size << " raw=" << raw_size;
+    EXPECT_LT(size * 2, raw_size) << "delta=" << size << " raw=" << raw_size;
+}
+
+TEST(TraceStreamTest, RetiredCasstf1IsRejectedOnBothBackings)
+{
+    // A well-formed file of the retired all-raw container must raise
+    // the evictable format error, never decode.
+    core::Workload w = workload("ChaCha20_ct");
+    auto trace = uarch::recordTrace(w, 2);
+    const std::string path = testing::TempDir() + "/retired.trace";
+    writeFile(path, test::casstf1Bytes(core::programFingerprint(w.program),
+                                       trace, 256));
+    for (auto backing :
+         {TraceCursor::Backing::Buffered, TraceCursor::Backing::Auto}) {
+        SCOPED_TRACE(backing == TraceCursor::Backing::Buffered ? "buffered"
+                                                               : "auto");
+        EXPECT_THROW(TraceCursor(path, w.program, backing),
+                     core::ArtifactFormatError);
+    }
+}
+
+TEST(TraceStreamTest, RawFallbackFramesReplayThroughCursor)
+{
+    // Ops whose memAddr and nextPc are random make delta encoding lose,
+    // so the writer stores raw (kind 0) frames inside the container;
+    // the cursor must replay them exactly, scalar and batched.
+    core::Workload w = workload("ChaCha20_ct");
+    uarch::TimingTrace trace = uarch::recordTrace(w, 2);
+    trace.resize(600);
+    std::mt19937_64 rng(11);
+    for (auto &op : trace) {
+        op.memAddr = rng();
+        op.nextPc = rng();
+    }
+    const std::string path = testing::TempDir() + "/raw-frames.trace";
+    writeStream(path, w, trace);
+    const std::vector<uint8_t> bytes = readFile(path);
+    EXPECT_EQ(bytes[32], 0u) << "first frame must be stored raw";
+    TraceCursor scalar(path, w.program);
+    for (size_t i = 0; i < trace.size(); i++) {
+        const uarch::TimingOp *op = scalar.next();
+        ASSERT_NE(op, nullptr);
+        EXPECT_EQ(op->pc, trace[i].pc);
+        EXPECT_EQ(op->memAddr, trace[i].memAddr);
+        EXPECT_EQ(op->nextPc, trace[i].nextPc);
+    }
+    EXPECT_EQ(scalar.next(), nullptr);
+    TraceCursor batched(path, w.program);
+    uarch::OpBatch batch;
+    size_t i = 0;
+    while (size_t n = batched.nextBatch(batch, 100)) {
+        for (size_t b = 0; b < n; b++, i++) {
+            ASSERT_LT(i, trace.size());
+            EXPECT_EQ(batch.memAddr[b], trace[i].memAddr);
+            EXPECT_EQ(batch.nextPc[b], trace[i].nextPc);
+        }
+    }
+    EXPECT_EQ(i, trace.size());
 }
 
 TEST(TraceStreamTest, FingerprintGuardsStaleStreams)
@@ -224,6 +273,22 @@ TEST(TraceStreamTest, RejectsForeignFiles)
 // CASSTF2 frame codec
 // ---------------------------------------------------------------------
 
+/** decodeTraceFrameSoA, re-packed as raw 24 B/op bytes. */
+std::vector<uint8_t>
+decodeTraceFrame(const uint8_t *frame, size_t frame_len, size_t ops)
+{
+    std::vector<uint64_t> cols[3];
+    for (auto &col : cols)
+        col.resize(ops);
+    core::decodeTraceFrameSoA(frame, frame_len, ops, cols[0].data(),
+                              cols[1].data(), cols[2].data());
+    std::vector<uint8_t> raw(ops * core::traceStreamOpBytes);
+    for (size_t i = 0; i < ops; i++)
+        for (int f = 0; f < 3; f++)
+            putLe64(raw, i * core::traceStreamOpBytes + f * 8, cols[f][i]);
+    return raw;
+}
+
 TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
 {
     // A straight-line instruction stream: pc chains, nextPc is the
@@ -246,7 +311,7 @@ TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
     EXPECT_EQ(frame[0], 1u) << "sequential ops must pick delta";
     EXPECT_LT(frame.size() * 4, raw.size())
         << "sequential ops should compress at least 4x";
-    auto back = core::decodeTraceFrame(frame.data(), frame.size(), 1000);
+    auto back = decodeTraceFrame(frame.data(), frame.size(), 1000);
     EXPECT_EQ(back, raw);
 }
 
@@ -262,7 +327,7 @@ TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
     ASSERT_GE(frame.size(), 5u);
     EXPECT_EQ(frame[0], 0u) << "incompressible ops must stay raw";
     EXPECT_EQ(frame.size(), raw.size() + 5);
-    auto back = core::decodeTraceFrame(frame.data(), frame.size(), 512);
+    auto back = decodeTraceFrame(frame.data(), frame.size(), 512);
     EXPECT_EQ(back, raw);
 }
 
@@ -271,28 +336,28 @@ TEST(TraceFrameCodecTest, CorruptFramesAreTyped)
     std::vector<uint8_t> raw(24 * 8, 0x11);
     auto frame = core::encodeTraceFrame(raw);
     // Truncated below the frame header.
-    EXPECT_THROW(core::decodeTraceFrame(frame.data(), 4, 8),
+    EXPECT_THROW(decodeTraceFrame(frame.data(), 4, 8),
                  core::ArtifactFormatError);
     // Payload length beyond the available bytes.
     EXPECT_THROW(
-        core::decodeTraceFrame(frame.data(), frame.size() - 1, 8),
+        decodeTraceFrame(frame.data(), frame.size() - 1, 8),
         core::ArtifactFormatError);
     // Unknown encoding kind.
     auto bad_kind = frame;
     bad_kind[0] = 9;
     EXPECT_THROW(
-        core::decodeTraceFrame(bad_kind.data(), bad_kind.size(), 8),
+        decodeTraceFrame(bad_kind.data(), bad_kind.size(), 8),
         core::ArtifactFormatError);
     // Wrong op count for a raw frame.
-    EXPECT_THROW(core::decodeTraceFrame(frame.data(), frame.size(), 7),
+    EXPECT_THROW(decodeTraceFrame(frame.data(), frame.size(), 7),
                  core::ArtifactFormatError);
 }
 
 // ---------------------------------------------------------------------
-// Corrupt streams (negative paths, both container versions)
+// Corrupt streams (negative paths)
 // ---------------------------------------------------------------------
 
-class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
+class CorruptStreamTest : public ::testing::Test
 {
   protected:
     void
@@ -300,9 +365,8 @@ class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
     {
         w_ = workload("ChaCha20_ct");
         trace_ = uarch::recordTrace(w_, 2);
-        path_ = testing::TempDir() + "/corrupt-" +
-            core::traceCompressionName(GetParam()) + ".trace";
-        writeStream(path_, w_, trace_, GetParam());
+        path_ = testing::TempDir() + "/corrupt.trace";
+        writeStream(path_, w_, trace_);
         bytes_ = readFile(path_);
     }
 
@@ -321,50 +385,56 @@ class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
     std::vector<uint8_t> bytes_;
 };
 
-TEST_P(CorruptStreamTest, TruncatedHeader)
+TEST_F(CorruptStreamTest, TruncatedHeader)
 {
     std::vector<uint8_t> head(bytes_.begin(), bytes_.begin() + 20);
     expectThrow<core::ArtifactFormatError>(head);
 }
 
-TEST_P(CorruptStreamTest, BadMagic)
+TEST_F(CorruptStreamTest, BadMagic)
 {
     auto bad = bytes_;
     bad[0] = 'X';
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
-TEST_P(CorruptStreamTest, UnknownVersionByte)
+TEST_F(CorruptStreamTest, UnknownVersionByte)
 {
     auto bad = bytes_;
     bad[6] = '9'; // "CASSTF9\n"
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
-TEST_P(CorruptStreamTest, CrossVersionRelabelIsRejected)
+TEST_F(CorruptStreamTest, CrossVersionRelabelIsRejected)
 {
-    // Claiming the other container's magic without re-encoding the
-    // frames must fail the magic/version-field consistency check, not
+    // Relabeling a CASSTF2 file as the retired CASSTF1 — magic alone,
+    // version field alone, or both — must fail the header check, not
     // silently decode garbage.
-    auto bad = bytes_;
-    bad[6] = GetParam() == TraceCompression::Delta ? '1' : '2';
-    expectThrow<core::ArtifactFormatError>(bad);
+    auto magic = bytes_;
+    magic[6] = '1';
+    expectThrow<core::ArtifactFormatError>(magic);
+    auto version = bytes_;
+    version[8] = 1;
+    expectThrow<core::ArtifactFormatError>(version);
+    auto both = magic;
+    both[8] = 1;
+    expectThrow<core::ArtifactFormatError>(both);
 }
 
-TEST_P(CorruptStreamTest, TruncatedIndex)
+TEST_F(CorruptStreamTest, TruncatedIndex)
 {
     std::vector<uint8_t> cut(bytes_.begin(), bytes_.end() - 24);
     expectThrow<core::ArtifactFormatError>(cut);
 }
 
-TEST_P(CorruptStreamTest, MismatchedFingerprint)
+TEST_F(CorruptStreamTest, MismatchedFingerprint)
 {
     auto bad = bytes_;
     bad[16] ^= 0xff; // first fingerprint byte
     expectThrow<core::ArtifactStaleError>(bad);
 }
 
-TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
+TEST_F(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
 {
     // Craft a footer whose numFrames wraps the old consistency check
     // `index_pos + numFrames * 8 + footerBytes == file_len` through
@@ -373,10 +443,9 @@ TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
     // validation and then attempt a numFrames-sized allocation. The
     // cursor must bound numFrames against the file length *before*
     // sizing anything from it.
-    const std::string path = testing::TempDir() + "/overflow-" +
-        core::traceCompressionName(GetParam()) + ".trace";
+    const std::string path = testing::TempDir() + "/overflow.trace";
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 6);
-    writeStream(path, w_, small, GetParam(), /*frame_ops=*/1);
+    writeStream(path, w_, small, /*frame_ops=*/1);
     auto bytes = readFile(path);
     const uint64_t frames = getLe64(bytes, bytes.size() - 8);
     ASSERT_EQ(frames, 6u);
@@ -389,17 +458,15 @@ TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
                  core::ArtifactFormatError);
 }
 
-TEST_P(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
+TEST_F(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
 {
     // A single-frame file whose u32 frameOps header field is tampered
     // to ~4 billion passes every frame-count/offset check (one frame
     // either way) and used to size a ~96 GB frame buffer from the
     // untrusted field; the cursor must reject the size fields first.
-    const std::string path = testing::TempDir() + "/frameops-" +
-        core::traceCompressionName(GetParam()) + ".trace";
+    const std::string path = testing::TempDir() + "/frameops.trace";
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
-    writeStream(path, w_, small, GetParam(),
-                core::traceStreamDefaultFrameOps);
+    writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
     auto bytes = readFile(path);
     bytes[12] = 0xf0; // u32 frameOps at header offset 12
     bytes[13] = 0xff;
@@ -410,7 +477,7 @@ TEST_P(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
                  core::ArtifactFormatError);
 }
 
-TEST_P(CorruptStreamTest, InconsistentFrameOffsets)
+TEST_F(CorruptStreamTest, InconsistentFrameOffsets)
 {
     // Point the first index entry somewhere inconsistent.
     auto bad = bytes_;
@@ -420,14 +487,6 @@ TEST_P(CorruptStreamTest, InconsistentFrameOffsets)
     putLe64(bad, static_cast<size_t>(index_pos), 7); // offsets[0] != 32
     expectThrow<core::ArtifactFormatError>(bad);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothFormats, CorruptStreamTest,
-    ::testing::Values(TraceCompression::None, TraceCompression::Delta),
-    [](const ::testing::TestParamInfo<TraceCompression> &info) {
-        return info.param == TraceCompression::Delta ? "casstf2"
-                                                     : "casstf1";
-    });
 
 TEST(TraceStreamTest, WriterFailsFastWhenDiskIsFull)
 {
@@ -519,33 +578,24 @@ TEST(TraceStreamPathTest, DefaultDirIsProcessUnique)
 
 TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
 {
-    // Both stream encodings must be cycle-identical to whole mode —
-    // compression only changes bytes on disk, never replayed ops.
+    // Streams must be cycle-identical to whole mode — compression
+    // only changes bytes on disk, never replayed ops.
     for (const char *name : {"ChaCha20_ct", "synthetic/curve25519/50"}) {
         auto whole = AnalyzedWorkload::analyze(workload(name));
         ASSERT_FALSE(whole->streamed());
         Simulation whole_sim(whole);
-        for (auto compression :
-             {TraceCompression::None, TraceCompression::Delta}) {
-            AnalyzeOptions stream_opts;
-            stream_opts.traceMode = TraceMode::Stream;
-            stream_opts.streamDir = testing::TempDir() +
-                "/stream-parity-" +
-                core::traceCompressionName(compression);
-            stream_opts.compression = compression;
-            auto streamed =
-                AnalyzedWorkload::analyze(workload(name), stream_opts);
-            ASSERT_TRUE(streamed->streamed());
-            ASSERT_EQ(streamed->numOps(), whole->numOps());
-            Simulation stream_sim(streamed);
-            for (Scheme s : allSchemes) {
-                expectEqualResults(
-                    stream_sim.run(s), whole_sim.run(s),
-                    std::string(name) + " / " +
-                        core::traceCompressionName(compression) + " / " +
-                        uarch::schemeName(s));
-            }
-        }
+        AnalyzeOptions stream_opts;
+        stream_opts.traceMode = TraceMode::Stream;
+        stream_opts.streamDir = testing::TempDir() + "/stream-parity";
+        auto streamed =
+            AnalyzedWorkload::analyze(workload(name), stream_opts);
+        ASSERT_TRUE(streamed->streamed());
+        ASSERT_EQ(streamed->numOps(), whole->numOps());
+        Simulation stream_sim(streamed);
+        for (Scheme s : allSchemes)
+            expectEqualResults(stream_sim.run(s), whole_sim.run(s),
+                               std::string(name) + " / " +
+                                   uarch::schemeName(s));
     }
 }
 

@@ -27,6 +27,16 @@ TEST(CacheTest, HitAfterMiss)
     EXPECT_EQ(c.stats().misses, 2u);
 }
 
+TEST(CacheTest, LineTimesWaysPast32BitsDoesNotWrap)
+{
+    // 2^16-byte lines x 2^16 ways is 2^32: multiplied in 32 bits the
+    // set-count divisor wrapped to 0 (SIGFPE). A shard manifest can
+    // carry any u32 geometry, so the constructor must not trap.
+    Cache c({1024, 1u << 16, 1u << 16, 3});
+    EXPECT_FALSE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x1000));
+}
+
 TEST(CacheTest, LruEviction)
 {
     // 2-way, 8 sets of 64B lines: three lines in one set evict the LRU.
