@@ -152,7 +152,7 @@ printCliHelp(const char *prog)
         "                 memory) or stream (spill to chunked trace\n"
         "                 files, replay from disk; same cycles, flat\n"
         "                 peak memory)\n"
-        "  --execution=E  phase-2 cell execution: inprocess (default,\n"
+        "  --execution=E  cell execution: inprocess (default,\n"
         "                 thread pool), subprocess (one spawned\n"
         "                 --agent process per shard over a private\n"
         "                 drop box) or remote (cells dispatched\n"

@@ -1,6 +1,8 @@
 #include "btu/btu.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cassandra::btu {
 
@@ -8,9 +10,44 @@ using core::BranchTrace;
 using core::TraceLimits;
 
 Btu::Btu(const core::TraceImage &image, BtuParams params)
-    : image_(image), params_(params)
+    : params_(params)
 {
     entries_.resize(params_.sets * params_.ways);
+    const auto &hints = image.hints();
+    if (hints.empty())
+        return;
+    base_ = hints.begin()->first;
+    branchIndex_.assign(
+        (hints.rbegin()->first - base_) / ir::instBytes + 1, 0);
+    branches_.reserve(hints.size());
+    for (const auto &[pc, hint] : hints) {
+        if ((pc - base_) % ir::instBytes != 0)
+            throw std::invalid_argument(
+                "trace image branch pc " + std::to_string(pc) +
+                " is not instruction-aligned");
+        Branch b;
+        b.hint = &hint;
+        const BranchTrace *trace =
+            hint.singleTarget ? nullptr : image.trace(pc);
+        if (trace && trace->hasTrace() && !trace->elements.empty())
+            b.trace = trace;
+        branches_.push_back(b);
+        branchIndex_[(pc - base_) / ir::instBytes] =
+            static_cast<uint32_t>(branches_.size());
+    }
+}
+
+Btu::Branch *
+Btu::branchAt(uint64_t pc)
+{
+    // Below base_ the offset wraps to a huge value and fails the
+    // range check like any pc above the highest analyzed branch.
+    const uint64_t off = pc - base_;
+    if (off % ir::instBytes != 0 ||
+        off / ir::instBytes >= branchIndex_.size())
+        return nullptr;
+    const uint32_t b = branchIndex_[off / ir::instBytes];
+    return b ? &branches_[b - 1] : nullptr;
 }
 
 Btu::Cursor
@@ -63,36 +100,18 @@ Btu::advance(const BranchTrace &trace, Cursor &cur) const
     cur.patRem = next.patternCounter;
 }
 
-Btu::Entry *
-Btu::find(uint64_t pc)
+size_t
+Btu::victimFor(uint64_t pc) const
 {
-    size_t set = (pc / ir::instBytes) % params_.sets;
-    Entry *base = &entries_[set * params_.ways];
-    // Branchless way scan: a pc is resident in at most one way, so an
-    // any-match accumulation equals the first-match scan; the select
-    // per way avoids a data-dependent branch on the replay hot path.
-    size_t match = params_.ways;
-    for (size_t w = 0; w < params_.ways; w++) {
-        const Entry &e = base[w];
-        const bool hit = e.valid & (e.pc == pc);
-        match = hit ? w : match;
+    const size_t first = (pc / ir::instBytes) % params_.sets * params_.ways;
+    size_t victim = first;
+    for (size_t i = first; i < first + params_.ways; i++) {
+        if (!entries_[i].valid)
+            return i;
+        if (entries_[i].lastUse < entries_[victim].lastUse)
+            victim = i;
     }
-    return match < params_.ways ? &base[match] : nullptr;
-}
-
-Btu::Entry &
-Btu::victimFor(uint64_t pc)
-{
-    size_t set = (pc / ir::instBytes) % params_.sets;
-    Entry *victim = &entries_[set * params_.ways];
-    for (size_t w = 0; w < params_.ways; w++) {
-        Entry &e = entries_[set * params_.ways + w];
-        if (!e.valid)
-            return e;
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    return *victim;
+    return victim;
 }
 
 void
@@ -102,9 +121,11 @@ Btu::evict(Entry &entry)
         return;
     // CPT write-back: the committed progress is checkpointed so the
     // branch can resume when it reappears (paper §5.3).
-    backingStore_[entry.pc] = entry.commit;
+    Branch &b = branches_[entry.branch];
+    b.checkpoint = entry.commit;
+    b.checkpointed = true;
+    b.slot = notResident;
     entry.valid = false;
-    entry.trace = nullptr;
     stats_.evictions++;
 }
 
@@ -112,42 +133,42 @@ Btu::LookupResult
 Btu::fetchLookup(uint64_t pc)
 {
     stats_.lookups++;
-    const core::HintInfo *hint = image_.hint(pc);
-    if (hint && hint->singleTarget) {
+    Branch *b = branchAt(pc);
+    if (b && b->hint->singleTarget) {
         // No BTU resources are used for single-target branches.
         stats_.singleTargetHits++;
-        return {Outcome::SingleTarget, hint->targetPc};
+        return {Outcome::SingleTarget, b->hint->targetPc};
     }
-    const BranchTrace *trace = hint ? image_.trace(pc) : nullptr;
-    if (!trace || !trace->hasTrace() || trace->elements.empty()) {
+    if (!b || !b->trace) {
         // Unanalyzed, input-dependent or rejected: redirect fetch only
         // once the branch direction is resolved (paper footnote 4).
         stats_.stallResolve++;
         return {Outcome::StallResolve, 0};
     }
+    const BranchTrace *trace = b->trace;
 
-    Entry *entry = find(pc);
     bool filled = false;
-    if (!entry) {
+    if (b->slot == notResident) {
         stats_.misses++;
-        Entry &slot = victimFor(pc);
+        const size_t slot_index = victimFor(pc);
+        Entry &slot = entries_[slot_index];
         evict(slot);
         slot.valid = true;
         slot.pc = pc;
-        slot.trace = trace;
-        auto it = backingStore_.find(pc);
-        if (it != backingStore_.end()) {
-            slot.commit = it->second;
+        slot.branch = static_cast<uint32_t>(b - branches_.data());
+        if (b->checkpointed) {
+            slot.commit = b->checkpoint;
             stats_.checkpointRestores++;
         } else {
             slot.commit = initialCursor(*trace);
         }
         slot.fetch = slot.commit;
-        entry = &slot;
+        b->slot = static_cast<uint32_t>(slot_index);
         filled = true;
     } else {
         stats_.hits++;
     }
+    Entry *entry = &entries_[b->slot];
     entry->lastUse = ++useClock_;
 
     // Window limit: if the fetch cursor has run a full TRC entry ahead
@@ -166,25 +187,20 @@ Btu::fetchLookup(uint64_t pc)
 void
 Btu::commitBranch(uint64_t pc)
 {
-    const core::HintInfo *hint = image_.hint(pc);
-    if (hint && hint->singleTarget)
-        return; // no BTU state
-    Entry *entry = find(pc);
-    if (!entry)
-        return; // stall-resolve branch or evicted mid-flight
+    const Branch *b = branchAt(pc);
+    if (!b || b->slot == notResident)
+        return; // single-target, stall-resolve or evicted mid-flight
+    Entry *entry = &entries_[b->slot];
     stats_.commits++;
     uint64_t elem_before = entry->commit.elemIdx;
-    advance(*entry->trace, entry->commit);
+    advance(*b->trace, entry->commit);
     if (entry->commit.elemIdx != elem_before) {
         // Head element retired: the TRC entry shifts; long traces
         // prefetch the upcoming elements from the data pages, short
         // traces rotate a refreshed copy of the head (paper §5.3).
-        if (!entry->trace->shortTrace)
+        if (!b->trace->shortTrace)
             stats_.prefetches++;
     }
-    assert(entry->commit.elemIdx <= entry->fetch.elemIdx ||
-           (entry->commit.elemIdx == entry->fetch.elemIdx + 0) ||
-           true);
 }
 
 void
@@ -196,7 +212,7 @@ Btu::rewindFetch(const std::function<uint64_t(uint64_t)> &in_flight_of)
         uint64_t ahead = in_flight_of ? in_flight_of(e.pc) : 0;
         Cursor cur = e.commit;
         for (uint64_t i = 0; i < ahead; i++)
-            advance(*e.trace, cur);
+            advance(*branches_[e.branch].trace, cur);
         e.fetch = cur;
         stats_.squashRewinds++;
     }

@@ -15,7 +15,12 @@
  *
  * The paper describes the tables as PC-indexed with LRU eviction; we
  * implement a set-associative structure (default fully associative,
- * 16 ways, LRU) with configurable geometry.
+ * 16 ways, LRU) with configurable geometry. The simulator indexes
+ * every analyzed static branch once, at construction, in a dense table
+ * keyed by (pc - lowest analyzed pc) / instBytes: each slot holds the
+ * branch's hint, its replayable trace, the way it is resident in (if
+ * any) and its memory-backed checkpoint, so the fetch and commit flows
+ * touch no map and scan no ways on a hit.
  */
 
 #ifndef CASSANDRA_BTU_BTU_HH
@@ -23,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/trace_image.hh"
@@ -76,6 +80,12 @@ class Btu
         uint64_t target = 0;
     };
 
+    /**
+     * Index every branch of `image`; the image must not change while
+     * the Btu lives.
+     * @throws std::invalid_argument if an analyzed branch pc is not
+     *         instruction-aligned relative to the lowest one.
+     */
     Btu(const core::TraceImage &image, BtuParams params = {});
 
     /** Crypto fetch flow: determine the next PC after branch pc. */
@@ -110,11 +120,28 @@ class Btu
         uint32_t patRem = 0;
     };
 
+    static constexpr uint32_t notResident = ~0u;
+
+    /** Per-static-branch state: one per analyzed branch. */
+    struct Branch
+    {
+        const core::HintInfo *hint = nullptr;
+        /** Replayable trace; null for input-dependent, rejected and
+         * single-target branches (which never take an entry). */
+        const core::BranchTrace *trace = nullptr;
+        /** Index into entries_ while resident, else notResident. */
+        uint32_t slot = notResident;
+        /** Memory-backed CPT area: committed cursor saved on
+         * eviction, valid when checkpointed. */
+        bool checkpointed = false;
+        Cursor checkpoint;
+    };
+
     struct Entry
     {
         bool valid = false;
         uint64_t pc = 0;
-        const core::BranchTrace *trace = nullptr;
+        uint32_t branch = 0; ///< index into branches_
         Cursor fetch;
         Cursor commit;
         uint64_t lastUse = 0;
@@ -126,15 +153,20 @@ class Btu
                       const Cursor &cur) const;
     /** Advance a cursor by one branch execution. */
     void advance(const core::BranchTrace &trace, Cursor &cur) const;
-    Entry *find(uint64_t pc);
-    Entry &victimFor(uint64_t pc);
+    /** The analyzed branch at pc, or null (unanalyzed, misaligned or
+     * outside the analyzed range). */
+    Branch *branchAt(uint64_t pc);
+    size_t victimFor(uint64_t pc) const;
     void evict(Entry &entry);
 
-    const core::TraceImage &image_;
     BtuParams params_;
     std::vector<Entry> entries_; ///< sets x ways
-    /** Memory-backed CPT area (committed cursors of evicted branches). */
-    std::map<uint64_t, Cursor> backingStore_;
+    /** Lowest analyzed branch pc: the dense table's origin. */
+    uint64_t base_ = 0;
+    /** (pc - base_) / instBytes -> 1 + index into branches_; 0 marks
+     * an unanalyzed pc. */
+    std::vector<uint32_t> branchIndex_;
+    std::vector<Branch> branches_;
     uint64_t useClock_ = 0;
     BtuStats stats_;
 };

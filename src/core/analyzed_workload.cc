@@ -104,6 +104,18 @@ class TaintConsumer final : public BatchConsumer
 
 } // namespace
 
+AnalysisPhaseMask
+schemePhases(uarch::Scheme scheme)
+{
+    AnalysisPhaseMask phases = PhaseTimingTrace;
+    if (uarch::schemeIsCassandra(scheme))
+        phases |= PhaseTraceImage;
+    if (scheme == uarch::Scheme::Prospect ||
+        scheme == uarch::Scheme::CassandraProspect)
+        phases |= PhaseTaint;
+    return phases;
+}
+
 AnalyzedWorkload::AnalyzedWorkload(Workload workload, KmersParams kmers,
                                    TraceMode mode,
                                    uarch::TimingTrace trace,
@@ -459,21 +471,22 @@ ExperimentResult
 Simulation::run(const SimConfig &config) const
 {
     const AnalyzedWorkload &aw = *artifact_;
-    const uarch::Scheme scheme = config.scheme;
-
-    // ProSpeCT schemes consult the per-op taint bitmap; everything
-    // else replays the pristine stream.
-    const bool needs_taint = scheme == uarch::Scheme::Prospect ||
-        scheme == uarch::Scheme::CassandraProspect;
+    const std::string bad = invalidGeometryKey(config);
+    if (!bad.empty())
+        throw std::invalid_argument("SimConfig \"" + config.name +
+                                    "\" has " + bad + " = 0");
+    const AnalysisPhaseMask phases = schemePhases(config.scheme);
 
     // Demand-driven Algorithm 2: only Cassandra-family cells touch the
     // trace image, so baseline/SPT sweeps never construct one.
     const TraceImage *image = nullptr;
-    if (uarch::schemeIsCassandra(scheme))
+    if (phases & PhaseTraceImage)
         image = &aw.traces().image;
 
+    // ProSpeCT schemes consult the per-op taint bitmap; everything
+    // else replays the pristine stream.
     const uarch::TaintBitmap *taint = nullptr;
-    if (needs_taint && !aw.workload().secretRegions.empty())
+    if ((phases & PhaseTaint) && !aw.workload().secretRegions.empty())
         taint = &aw.taintBitmap();
 
     uarch::OooCore core(config, aw.workload().program, image);

@@ -92,6 +92,11 @@ using AnalysisPhaseMask = unsigned;
 constexpr AnalysisPhaseMask allAnalysisPhases =
     PhaseTimingTrace | PhaseTraceImage | PhaseTaint;
 
+/** Analysis phases a cell of `scheme` reads: the timing trace, plus
+ * the trace image for Cassandra schemes and the taint bitmap for
+ * ProSpeCT schemes. */
+AnalysisPhaseMask schemePhases(uarch::Scheme scheme);
+
 /** Process-wide per-phase analysis counters (see analysisPhaseRuns). */
 struct AnalysisPhaseRuns
 {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <numeric>
@@ -127,8 +129,157 @@ scheduleShards(const std::vector<uint64_t> &costs, unsigned shards)
 }
 
 // ---------------------------------------------------------------------
-// InProcessExecutor
+// Task graph + InProcessExecutor
 // ---------------------------------------------------------------------
+
+std::vector<CellResult>
+runTaskGraph(unsigned threads, const std::vector<PlannedCell> &cells,
+             const ArtifactMap &artifacts, AnalysisPhaseMask phases,
+             bool simulate)
+{
+    // Cell workloads in first-appearance order; waiting[w] holds the
+    // cells of workload w not yet released to the ready queue.
+    std::vector<const AnalyzedWorkload *> workloads;
+    std::vector<std::vector<size_t>> waiting;
+    {
+        std::map<std::string, size_t> index;
+        for (size_t i = 0; i < cells.size(); i++) {
+            const auto [it, fresh] =
+                index.emplace(cells[i].workload, workloads.size());
+            if (fresh) {
+                workloads.push_back(artifacts.at(cells[i].workload).get());
+                waiting.emplace_back();
+            }
+            if (simulate)
+                waiting[it->second].push_back(i);
+        }
+    }
+
+    // Analysis tasks: per workload, the recording pass and the
+    // Algorithm 2 pass it still lacks. done[w] grows as they finish.
+    struct Task
+    {
+        size_t workload = 0;
+        AnalysisPhaseMask phases = 0;
+    };
+    const AnalysisPhaseMask record_phases = phases & ~PhaseTraceImage;
+    std::vector<Task> tasks;
+    std::vector<AnalysisPhaseMask> done(workloads.size());
+    for (size_t w = 0; w < workloads.size(); w++) {
+        const AnalyzedWorkload &aw = *workloads[w];
+        AnalysisPhaseMask have = 0;
+        if (aw.hasTimingTrace())
+            have |= PhaseTimingTrace;
+        if (aw.hasTraceImage())
+            have |= PhaseTraceImage;
+        if (aw.hasTaintBitmap())
+            have |= PhaseTaint;
+        done[w] = have & phases;
+        if (record_phases & ~have)
+            tasks.push_back(Task{w, record_phases});
+        if (phases & PhaseTraceImage & ~have)
+            tasks.push_back(Task{w, PhaseTraceImage});
+    }
+
+    std::vector<CellResult> results(simulate ? cells.size() : 0);
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::deque<size_t> ready;
+    size_t next_task = 0;
+    size_t untaken = results.size();
+    std::exception_ptr error;
+
+    // Under the lock: move the cells of w whose phases are done.
+    auto release = [&](size_t w) {
+        std::vector<size_t> &cells_of = waiting[w];
+        size_t kept = 0;
+        for (size_t i : cells_of) {
+            if ((schemePhases(cells[i].scheme) & phases & ~done[w]) == 0)
+                ready.push_back(i);
+            else
+                cells_of[kept++] = i;
+        }
+        cells_of.resize(kept);
+    };
+    for (size_t w = 0; w < workloads.size(); w++)
+        release(w);
+
+    auto run_cell = [&](size_t i) {
+        const PlannedCell &cell = cells[i];
+        const AnalyzedWorkload::Ptr &artifact = artifacts.at(cell.workload);
+        CellResult &out = results[i];
+        // Keyed by the matrix name (not Workload::name) so
+        // Experiment::find works with whatever the caller spelled,
+        // parameterized entries included.
+        out.workload = cell.workload;
+        out.suite = artifact->workload().suite;
+        out.scheme = cell.scheme;
+        out.config = cell.config.name;
+        SimConfig cfg = cell.config;
+        cfg.scheme = cell.scheme;
+        out.result = Simulation(artifact).run(cfg);
+    };
+
+    auto worker = [&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            wake.wait(lock, [&] {
+                return error || next_task < tasks.size() ||
+                    !ready.empty() || untaken == 0;
+            });
+            if (error)
+                return;
+            // An analysis task first, else a ready cell.
+            const bool analysis = next_task < tasks.size();
+            if (!analysis && ready.empty())
+                return; // every task and cell is taken
+            Task task{};
+            size_t cell = 0;
+            if (analysis) {
+                task = tasks[next_task++];
+            } else {
+                cell = ready.front();
+                ready.pop_front();
+                untaken--;
+            }
+            lock.unlock();
+            try {
+                if (analysis)
+                    workloads[task.workload]->ensurePhases(task.phases);
+                else
+                    run_cell(cell);
+            } catch (...) {
+                lock.lock();
+                if (!error)
+                    error = std::current_exception();
+                wake.notify_all();
+                return;
+            }
+            lock.lock();
+            if (analysis) {
+                done[task.workload] |= task.phases;
+                release(task.workload);
+                wake.notify_all();
+            }
+        }
+    };
+
+    const unsigned pool = RunnerOptions(threads).resolveThreads(
+        tasks.size() + results.size());
+    if (pool <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> workers;
+        workers.reserve(pool);
+        for (unsigned t = 0; t < pool; t++)
+            workers.emplace_back(worker);
+        for (std::thread &t : workers)
+            t.join();
+    }
+    if (error)
+        std::rethrow_exception(error);
+    return results;
+}
 
 InProcessExecutor::InProcessExecutor(unsigned threads) : threads_(threads)
 {
@@ -136,28 +287,11 @@ InProcessExecutor::InProcessExecutor(unsigned threads) : threads_(threads)
 
 std::vector<CellResult>
 InProcessExecutor::execute(const std::vector<PlannedCell> &cells,
-                           const ArtifactMap &artifacts)
+                           const ArtifactMap &artifacts,
+                           AnalysisPhaseMask phases)
 {
-    std::vector<CellResult> results(cells.size());
-    runParallel(
-        RunnerOptions(threads_).resolveThreads(cells.size()),
-        cells.size(), [&](size_t i) {
-            const PlannedCell &cell = cells[i];
-            const AnalyzedWorkload::Ptr &artifact =
-                artifacts.at(cell.workload);
-            CellResult &out = results[i];
-            // Keyed by the matrix name (not Workload::name) so
-            // Experiment::find works with whatever the caller
-            // spelled, parameterized entries included.
-            out.workload = cell.workload;
-            out.suite = artifact->workload().suite;
-            out.scheme = cell.scheme;
-            out.config = cell.config.name;
-            SimConfig cfg = cell.config;
-            cfg.scheme = cell.scheme;
-            out.result = Simulation(artifact).run(cfg);
-        });
-    return results;
+    return runTaskGraph(threads_, cells, artifacts, phases,
+                        /*simulate=*/true);
 }
 
 // ---------------------------------------------------------------------

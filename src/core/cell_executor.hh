@@ -1,6 +1,6 @@
 /**
  * @file
- * The pluggable phase-2 cell-execution layer.
+ * The pluggable cell-execution layer.
  *
  * ExperimentRunner plans the workload x scheme x config cross product
  * and acquires the analysis artifacts; a CellExecutor then turns the
@@ -12,7 +12,8 @@
  * Two backends ship:
  *
  *  - InProcessExecutor (here) runs the cells over a thread pool in
- *    this process.
+ *    this process, together with the analysis passes they wait on
+ *    (runTaskGraph).
  *
  *  - RemoteShardExecutor (core/remote_executor.hh) is the one
  *    out-of-process backend. It partitions the cells into shards with
@@ -46,13 +47,13 @@ class ResultStore;
 
 /**
  * Run fn(0..work) over a pool of `threads` workers, failing fast on
- * the first exception (rethrown here). Shared by the runner's analysis
- * phase and the in-process executor.
+ * the first exception (rethrown here). Shared by the runner's artifact
+ * resolution and the remote executor's snapshot uploads.
  */
 void runParallel(unsigned threads, size_t work,
                  const std::function<void(size_t)> &fn);
 
-/** One planned phase-2 cell (the matrix cross product, flattened). */
+/** One planned cell (the matrix cross product, flattened). */
 struct PlannedCell
 {
     std::string workload; ///< matrix (registry) spelling
@@ -112,18 +113,39 @@ class CellExecutor
     /**
      * Execute every cell; the result vector is parallel to `cells`
      * and must be byte-identical across executors and schedules.
-     * Artifacts must cover every cell's workload.
+     * Artifacts must cover every cell's workload; `phases` are the
+     * analysis phases the executor runs on each of them (those not
+     * yet run) before their cells read them.
      */
     virtual std::vector<CellResult>
     execute(const std::vector<PlannedCell> &cells,
-            const ArtifactMap &artifacts) = 0;
+            const ArtifactMap &artifacts, AnalysisPhaseMask phases) = 0;
 
     /** The shard partition of the last execute() call (invalid for
      * backends that do not shard). */
     virtual ScheduleSummary lastSchedule() const { return {}; }
 };
 
-/** Phase-2 cells over a thread pool in this process. */
+/**
+ * The in-process task graph. One pool of `threads` workers runs three
+ * kinds of task: each cell workload's recording pass (`phases` minus
+ * PhaseTraceImage: the timing trace, with the taint walk fused in),
+ * its Algorithm 2 pass (PhaseTraceImage) — the two run concurrently,
+ * they are independent passes — and, when `simulate` is set, every
+ * cell. A worker takes an analysis task first, else a cell whose
+ * workload has run every phase of `phases` the cell's scheme reads
+ * (schemePhases), else waits. Phases an artifact already holds spawn
+ * no task. The first exception stops the pool: every worker is joined
+ * before it is rethrown. Returns results parallel to `cells` (empty
+ * without `simulate`).
+ */
+std::vector<CellResult>
+runTaskGraph(unsigned threads, const std::vector<PlannedCell> &cells,
+             const ArtifactMap &artifacts, AnalysisPhaseMask phases,
+             bool simulate);
+
+/** Cells and their analysis passes over a thread pool in this
+ * process (runTaskGraph). */
 class InProcessExecutor : public CellExecutor
 {
   public:
@@ -134,7 +156,8 @@ class InProcessExecutor : public CellExecutor
     const char *name() const override { return "inprocess"; }
     std::vector<CellResult>
     execute(const std::vector<PlannedCell> &cells,
-            const ArtifactMap &artifacts) override;
+            const ArtifactMap &artifacts,
+            AnalysisPhaseMask phases) override;
 
   private:
     unsigned threads_;

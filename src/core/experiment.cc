@@ -170,7 +170,7 @@ std::vector<AnalyzedWorkload::Ptr>
 ExperimentRunner::analyze(const std::vector<std::string> &names,
                           AnalysisPhaseMask phases, TraceMode mode) const
 {
-    // Phase 1: each distinct workload analyzed exactly once, distinct
+    // Each distinct workload analyzed exactly once, distinct
     // workloads concurrently. The cache's single-flight get() makes
     // duplicates (and races with other runners on the same cache)
     // share one analysis.
@@ -202,15 +202,9 @@ ExperimentRunner::neededPhases(
     const std::vector<ExperimentMatrix> &matrices)
 {
     AnalysisPhaseMask phases = PhaseTimingTrace;
-    for (const ExperimentMatrix &matrix : matrices) {
-        for (uarch::Scheme s : matrix.schemes) {
-            if (uarch::schemeIsCassandra(s))
-                phases |= PhaseTraceImage;
-            if (s == uarch::Scheme::Prospect ||
-                s == uarch::Scheme::CassandraProspect)
-                phases |= PhaseTaint;
-        }
-    }
+    for (const ExperimentMatrix &matrix : matrices)
+        for (uarch::Scheme s : matrix.schemes)
+            phases |= schemePhases(s);
     return phases;
 }
 
@@ -241,9 +235,9 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
         }
     }
 
-    // Phase 1: analyze once per distinct workload (analyze() dedups),
-    // requesting only the phases the matrices' schemes consume, and
-    // streaming the traces when any cell config asks for it.
+    // Resolve one artifact per distinct workload (analyze() dedups),
+    // noting the phases the matrices' schemes consume, and streaming
+    // the traces when any cell config asks for it.
     const AnalysisPhaseMask phases = neededPhases(matrices);
     TraceMode mode = cache_->options().traceMode;
     for (const ExperimentMatrix &matrix : matrices)
@@ -259,7 +253,8 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // Resolve the artifacts without any phases: recording is
     // demand-driven, so workloads whose cells all replay from the
     // result store are never analyzed at all. Phases for the cells
-    // that do simulate run in parallel after the store filter below.
+    // that do simulate run in the executor, after the store filter
+    // below.
     std::vector<AnalyzedWorkload::Ptr> artifacts =
         analyze(names, 0, mode);
     for (size_t i = 0; i < names.size(); i++)
@@ -313,21 +308,12 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     exp.telemetry.cachedCells = cells.size() - pending.size();
     exp.telemetry.simulatedCells = pending.size();
 
-    // Phase 2: dispatch the missing cells to the executor and merge.
-    // Every executor fills the same fixed slots, so the cells come
-    // back in matrix order whatever the backend did to run them.
+    // Dispatch the missing cells to the executor and merge. The
+    // executor also runs the analysis phases their workloads still
+    // need (the in-process one overlaps them with ready cells). Every
+    // executor fills the same fixed slots, so the cells come back in
+    // matrix order whatever the backend did to run them.
     if (!pending.empty()) {
-        // Phase 1b: analyze once per distinct workload that still has
-        // cells to simulate — concurrently, requesting exactly the
-        // phases the pending schemes consume.
-        std::vector<AnalyzedWorkload::Ptr> todo;
-        std::unordered_set<std::string> seen_names;
-        for (const PlannedCell &cell : pending)
-            if (seen_names.insert(cell.workload).second)
-                todo.push_back(exp.artifacts.at(cell.workload));
-        runParallel(options_.resolveThreads(todo.size()), todo.size(),
-                    [&](size_t i) { todo[i]->ensurePhases(phases); });
-
         // Opt-in dedup (the cross-job service path): identical cells
         // — same workload, scheme and canonical sim parameters —
         // dispatch once; executors are required to be byte-identical
@@ -364,7 +350,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
         exp.telemetry.simulatedCells = unique.size();
 
         std::vector<CellResult> fresh =
-            executor_->execute(unique, exp.artifacts);
+            executor_->execute(unique, exp.artifacts, phases);
         if (fresh.size() != unique.size())
             throw std::logic_error("cell executor returned a result "
                                    "vector of the wrong size");

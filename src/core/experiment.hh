@@ -1,20 +1,24 @@
 /**
  * @file
- * Declarative experiment matrices, the parallel two-phase runner and
- * the result reporters.
+ * Declarative experiment matrices, the parallel runner and the result
+ * reporters.
  *
  * An ExperimentMatrix names workloads (resolved through a name ->
  * Workload factory, normally crypto::WorkloadRegistry::global()
  * .resolver()), protection schemes, and SimConfig variants; the
- * runner executes the full workload x scheme x config cross product
- * in two phases. Phase 1 analyzes each distinct workload exactly once
- * (concurrently across workloads, memoized in an AnalysisCache);
- * phase 2 hands the planned cells to a pluggable core::CellExecutor —
- * the in-process thread pool by default, or the out-of-process shard
- * executor (RunnerOptions::execution) which partitions cells across
- * `run_experiment --agent` processes over serialized artifact
- * snapshots in a drop box. The runner itself is a pure coordinator:
- * plan cells -> acquire artifacts -> dispatch -> merge. Each cell
+ * runner executes the full workload x scheme x config cross product.
+ * Each distinct workload is analyzed exactly once (memoized in an
+ * AnalysisCache), and the planned cells go to a pluggable
+ * core::CellExecutor together with the analysis phases their schemes
+ * read. The in-process executor (the default) runs one task graph:
+ * each workload's recording and Algorithm 2 passes and every cell
+ * share one thread pool, and a cell starts as soon as its own
+ * workload's phases are done (core/cell_executor.hh, runTaskGraph).
+ * The out-of-process shard executor (RunnerOptions::execution)
+ * analyzes first, then partitions cells across `run_experiment
+ * --agent` processes over serialized artifact snapshots in a drop
+ * box. The runner itself is a pure coordinator: plan cells -> resolve
+ * artifacts -> filter the result store -> dispatch -> merge. Each cell
  * still builds its own core, so the result vector is deterministic
  * for any thread or shard count and always in matrix order
  * (workload-major, then scheme, then config) — executors are
@@ -193,7 +197,7 @@ struct Experiment
                            const std::string &config = "") const;
 };
 
-/** How phase-2 cells are executed. */
+/** How cells are executed. */
 enum class ExecutionMode
 {
     /** Thread pool inside this process (the default). */
@@ -253,7 +257,7 @@ struct RunnerOptions
      */
     AnalyzeOptions analyze;
 
-    /** Phase-2 cell execution backend. */
+    /** Cell execution backend. */
     ExecutionMode execution = ExecutionMode::InProcess;
 
     /**
@@ -349,8 +353,9 @@ struct RunnerOptions
 
 /**
  * Coordinates experiment matrices: plans the cell cross product,
- * acquires analysis artifacts (phase 1), dispatches the cells to its
- * CellExecutor (phase 2) and merges the results in matrix order.
+ * resolves the analysis artifacts, dispatches the cells (and the
+ * analysis phases they read) to its CellExecutor and merges the
+ * results in matrix order.
  */
 class ExperimentRunner
 {
@@ -361,7 +366,7 @@ class ExperimentRunner
     explicit ExperimentRunner(std::shared_ptr<AnalysisCache> cache,
                               RunnerOptions options = {});
     /**
-     * Inject a custom phase-2 executor (null builds one from
+     * Inject a custom cell executor (null builds one from
      * options.execution through makeCellExecutor in
      * core/cell_executor.hh).
      */
@@ -371,10 +376,11 @@ class ExperimentRunner
 
     /**
      * Run every cell of the matrix. Distinct workloads are analyzed
-     * once (phase 1) with exactly the analysis phases the matrix's
-     * schemes need — baseline/SPT-only sweeps never run Algorithm 2,
-     * ProSpeCT-free sweeps never run the taint pre-pass — then cells
-     * execute concurrently over the shared artifacts (phase 2); the
+     * once with exactly the analysis phases the matrix's schemes
+     * need — baseline/SPT-only sweeps never run Algorithm 2,
+     * ProSpeCT-free sweeps never run the taint pre-pass — and cells
+     * execute concurrently over the shared artifacts, each as soon
+     * as its workload's phases are done; the
      * returned cells are in matrix order and bit-identical for any
      * thread count. Any cell config requesting TraceMode::Stream makes
      * the analysis spill its traces to disk (artifacts are shared per
@@ -385,13 +391,13 @@ class ExperimentRunner
     Experiment run(const ExperimentMatrix &matrix) const;
 
     /**
-     * Run several matrices as one batch sharing one analysis phase;
-     * cells are concatenated in matrix order.
+     * Run several matrices as one batch sharing one analysis per
+     * workload; cells are concatenated in matrix order.
      */
     Experiment run(const std::vector<ExperimentMatrix> &matrices) const;
 
     /**
-     * Phase 1 only: analyze the named workloads in parallel (each
+     * Analysis only: analyze the named workloads in parallel (each
      * distinct name exactly once), guaranteeing `phases` beyond the
      * cache's defaults. Returns artifacts in input order.
      */
@@ -410,7 +416,7 @@ class ExperimentRunner
     /** The artifact cache backing this runner. */
     AnalysisCache &cache() const { return *cache_; }
 
-    /** The phase-2 executor cells are dispatched to. */
+    /** The executor cells are dispatched to. */
     CellExecutor &executor() const { return *executor_; }
 
     /** The persistent cell-result store; null when cacheMode is Off

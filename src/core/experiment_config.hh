@@ -72,7 +72,7 @@ struct ExperimentSpec
     /** Whether the config spelled trace_mode (CLI default handling). */
     bool traceModeSet = false;
     /**
-     * Phase-2 cell execution backend ("execution": {"mode":
+     * Cell execution backend ("execution": {"mode":
      * "inprocess" | "subprocess" | "remote"}). Subprocess mode shards
      * the cells across `worker_binary --agent` processes it spawns
      * over a private drop box.

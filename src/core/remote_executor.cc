@@ -133,8 +133,11 @@ runShardAgent(const AgentOptions &options,
                 InProcessExecutor executor(
                     options.threads ? options.threads
                                     : manifest.workerThreads);
+                AnalysisPhaseMask phases = 0;
+                for (const PlannedCell &cell : manifest.cells)
+                    phases |= schemePhases(cell.scheme);
                 std::vector<CellResult> results =
-                    executor.execute(manifest.cells, artifacts);
+                    executor.execute(manifest.cells, artifacts, phases);
                 std::vector<IndexedCellResult> indexed;
                 indexed.reserve(results.size());
                 for (size_t i = 0; i < results.size(); i++)
@@ -309,10 +312,15 @@ reapExitedAgents(std::vector<SpawnedAgent> &agents)
 
 std::vector<CellResult>
 RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
-                             const ArtifactMap &artifacts)
+                             const ArtifactMap &artifacts,
+                             AnalysisPhaseMask phases)
 {
     if (cells.empty())
         return {};
+    // Snapshots carry what the agents replay, so every phase runs
+    // here, before the upload.
+    runTaskGraph(options_.threads, cells, artifacts, phases,
+                 /*simulate=*/false);
     if (!options_.dropboxDir.empty())
         return dispatch(cells, artifacts, options_.dropboxDir);
 
@@ -614,7 +622,7 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                 // so it gets the full coordinator budget.
                 std::vector<CellResult> retried =
                     InProcessExecutor(options_.threads)
-                        .execute(retry_cells, artifacts);
+                        .execute(retry_cells, artifacts, 0);
                 for (size_t i = 0; i < retried.size(); i++) {
                     results[task.indices[i]] = std::move(retried[i]);
                     have[task.indices[i]] = 1;

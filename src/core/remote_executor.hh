@@ -88,7 +88,7 @@ int runShardAgent(const AgentOptions &options,
                   const AnalysisCache::Resolver &resolver,
                   std::ostream &log);
 
-/** Phase-2 cells dispatched through a drop box to agent processes
+/** Cells dispatched through a drop box to agent processes
  * (file comment). */
 class RemoteShardExecutor : public CellExecutor
 {
@@ -145,7 +145,8 @@ class RemoteShardExecutor : public CellExecutor
     const char *name() const override { return "remote"; }
     std::vector<CellResult>
     execute(const std::vector<PlannedCell> &cells,
-            const ArtifactMap &artifacts) override;
+            const ArtifactMap &artifacts,
+            AnalysisPhaseMask phases) override;
 
     ScheduleSummary lastSchedule() const override { return schedule_; }
 

@@ -395,6 +395,13 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
         uint32_t num_hints = r.u32();
         for (uint32_t i = 0; i < num_hints; i++) {
             uint64_t pc = r.u64();
+            // The BTU indexes branches densely between the lowest and
+            // highest hint pc; a pc outside the program must not
+            // size that table.
+            if (!meta.workload.program.validPc(pc))
+                throw ArtifactFormatError(
+                    "AnalyzedWorkload snapshot has a hint for pc " +
+                    std::to_string(pc) + " outside the program");
             uint8_t flags = r.u8();
             HintInfo hint;
             hint.singleTarget = (flags & 1) != 0;

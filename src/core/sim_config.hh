@@ -144,7 +144,9 @@ struct SimConfig
  * "btu.sets"), or "" when every one is usable. Each of these fields
  * divides an address, sizes a ring or paces a per-cycle loop, so 0
  * would crash or hang the simulator. The config parser and the shard
- * manifest reader both reject a config this flags.
+ * manifest reader reject a config this flags with their own schema
+ * errors; Simulation::run rejects any other (a hand-built SimConfig)
+ * with std::invalid_argument.
  */
 inline std::string
 invalidGeometryKey(const SimConfig &cfg)

@@ -59,6 +59,9 @@ class TraceImage
      */
     const BranchTrace *trace(uint64_t pc) const;
 
+    /** All hint words, by branch pc. */
+    const std::map<uint64_t, HintInfo> &hints() const { return hints_; }
+
     /** All traces (for iteration in benches). */
     const std::map<uint64_t, BranchTrace> &traces() const
     {

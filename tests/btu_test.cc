@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "btu/btu.hh"
 #include "core/dna.hh"
 #include "core/kmers.hh"
@@ -123,6 +125,92 @@ TEST_F(BtuTest, UnknownBranchStalls)
     Btu btu(image);
     auto r = btu.fetchLookup(0x19999 & ~3ull);
     EXPECT_EQ(r.outcome, Btu::Outcome::StallResolve);
+}
+
+TEST_F(BtuTest, DenseTableEdgesStall)
+{
+    addLoop(4, 3);
+    const uint64_t unreplayable = 0x10200; // analyzed, input-dependent
+    image.add(core::makeInputDependent(unreplayable));
+    Btu btu(image);
+    const uint64_t pcs[] = {
+        loopPc - ir::instBytes,       // below the lowest analyzed branch
+        0,                            // far below: the offset wraps
+        unreplayable + ir::instBytes, // above the highest
+        ~0ull & ~3ull,                // far above
+        loopPc + 2,                   // misaligned
+        unreplayable,
+    };
+    for (uint64_t pc : pcs) {
+        EXPECT_EQ(btu.fetchLookup(pc).outcome, Btu::Outcome::StallResolve)
+            << std::hex << pc;
+        btu.commitBranch(pc); // no BTU state: must be harmless
+    }
+    const btu::BtuStats &s = btu.stats();
+    EXPECT_EQ(s.lookups, 6u);
+    EXPECT_EQ(s.stallResolve, 6u);
+    EXPECT_EQ(s.hits + s.misses + s.singleTargetHits + s.commits, 0u);
+
+    // The replayable branch between them is unaffected.
+    auto r = btu.fetchLookup(loopPc);
+    EXPECT_EQ(r.outcome, Btu::Outcome::MissFill);
+    EXPECT_EQ(r.target, target);
+}
+
+TEST_F(BtuTest, MisalignedAnalyzedBranchIsRejected)
+{
+    addLoop(4, 3);
+    image.add(core::makeInputDependent(loopPc + 2));
+    EXPECT_THROW(Btu{image}, std::invalid_argument);
+}
+
+TEST_F(BtuTest, SetAssociativeEvictsPerSet)
+{
+    // sets=2, ways=1: a and b share set 0, c sits alone in set 1.
+    const uint64_t a = 0x10100, b = 0x10108, c = 0x10104;
+    for (uint64_t pc : {a, b, c})
+        image.add(makeTrace(pc, loopTrace(pc, target, 4, 10)));
+    btu::BtuParams params;
+    params.sets = 2;
+    params.ways = 1;
+    Btu btu(image, params);
+
+    EXPECT_EQ(btu.fetchLookup(a).outcome, Btu::Outcome::MissFill);
+    btu.commitBranch(a); // a's first taken retires
+    EXPECT_EQ(btu.fetchLookup(c).outcome, Btu::Outcome::MissFill);
+    btu.commitBranch(c);
+    EXPECT_EQ(btu.stats().evictions, 0u); // different sets
+
+    EXPECT_EQ(btu.fetchLookup(b).outcome, Btu::Outcome::MissFill);
+    btu.commitBranch(b); // evicted a, checkpointing it
+    EXPECT_EQ(btu.stats().evictions, 1u);
+
+    // a comes back from its checkpoint (evicting b): taken twice
+    // more, then the fall-through.
+    auto r = btu.fetchLookup(a);
+    EXPECT_EQ(r.outcome, Btu::Outcome::MissFill);
+    EXPECT_EQ(r.target, target);
+    btu.commitBranch(a);
+    EXPECT_EQ(btu.fetchLookup(a).target, target);
+    btu.commitBranch(a);
+    EXPECT_EQ(btu.fetchLookup(a).target, a + ir::instBytes);
+    btu.commitBranch(a);
+    EXPECT_EQ(btu.fetchLookup(c).outcome, Btu::Outcome::Hit);
+
+    const btu::BtuStats &s = btu.stats();
+    EXPECT_EQ(s.lookups, 7u);
+    EXPECT_EQ(s.misses, 4u);
+    EXPECT_EQ(s.hits, 3u);
+    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_EQ(s.checkpointRestores, 1u);
+    EXPECT_EQ(s.commits, 6u);
+
+    // flush checkpoints the two residents; both resume on refill.
+    btu.flush();
+    EXPECT_EQ(btu.stats().evictions, 4u);
+    EXPECT_EQ(btu.fetchLookup(a).outcome, Btu::Outcome::MissFill);
+    EXPECT_EQ(btu.fetchLookup(c).outcome, Btu::Outcome::MissFill);
+    EXPECT_EQ(btu.stats().checkpointRestores, 3u);
 }
 
 TEST_F(BtuTest, CheckpointAcrossEviction)

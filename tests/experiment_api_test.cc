@@ -2,8 +2,9 @@
  * @file
  * Tests for the unified experiment API: SimConfig plumbing through
  * Simulation -> OooCore -> Btu (BTU geometry really reaches the
- * unit), ExperimentRunner determinism across thread counts, parity
- * with fresh single-workload analyses, and the structured reporters.
+ * unit, zero geometry is rejected), ExperimentRunner determinism
+ * across thread counts and its failure path, parity with fresh
+ * single-workload analyses, and the structured reporters.
  */
 
 #include <gtest/gtest.h>
@@ -97,6 +98,31 @@ TEST(SimConfigTest, CoreParamsStillApply)
     EXPECT_GT(sys.run(narrow).stats.cycles, sys.run(wide).stats.cycles);
 }
 
+TEST(SimConfigTest, ZeroGeometryIsRejectedByName)
+{
+    // A hand-built config never passes the config parser's check, so
+    // Simulation::run makes it: no division by zero, no endless loop.
+    core::Simulation sys(
+        core::AnalyzedWorkload::analyze(workload("ChaCha20_ct")));
+    const SimConfig cass = SimConfig{}.withScheme(Scheme::Cassandra);
+    SimConfig no_width = cass;
+    no_width.core.fetchWidth = 0;
+    const std::pair<SimConfig, std::string> cases[] = {
+        {cass.withBtuGeometry(0, 16), "btu.sets"},
+        {cass.withBtuGeometry(1, 0), "btu.ways"},
+        {no_width, "core.fetch_width"},
+    };
+    for (const auto &[cfg, key] : cases) {
+        try {
+            sys.run(cfg);
+            ADD_FAILURE() << key << " = 0 ran";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SimConfigTest, SchemeOverloadMatchesSimConfig)
 {
     core::Simulation sys(
@@ -121,22 +147,51 @@ smallMatrix()
 
 TEST(ExperimentRunnerTest, DeterministicAcrossThreadCounts)
 {
+    // A heavy and a light workload: the light one's cells start while
+    // the heavy one's analysis passes still run, so the task graph
+    // schedules differently at every thread count. The report must
+    // not change, byte for byte.
+    ExperimentMatrix m;
+    m.workloads = {"DES_ct", "ChaCha20_ct"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                 Scheme::Prospect};
+    SimConfig base;
+    m.configs = {base, base.withBtuGeometry(1, 2).named("ways=2")};
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    auto one = ExperimentRunner(resolver, RunnerOptions{1})
-                   .run(smallMatrix());
-    auto four = ExperimentRunner(resolver, RunnerOptions{4})
-                    .run(smallMatrix());
+    std::string reference;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        auto exp = ExperimentRunner(resolver, RunnerOptions{threads}).run(m);
+        ASSERT_EQ(exp.cells.size(), 12u);
+        std::ostringstream json;
+        core::makeReporter("json")->write(exp, json);
+        if (threads == 1)
+            reference = json.str();
+        else
+            EXPECT_EQ(json.str(), reference) << threads << " threads";
+    }
+}
 
-    ASSERT_EQ(one.cells.size(), 6u);
-    ASSERT_EQ(four.cells.size(), one.cells.size());
-    for (size_t i = 0; i < one.cells.size(); i++) {
-        EXPECT_EQ(one.cells[i].workload, four.cells[i].workload);
-        EXPECT_EQ(one.cells[i].scheme, four.cells[i].scheme);
-        EXPECT_EQ(one.cells[i].result.stats.cycles,
-                  four.cells[i].result.stats.cycles)
-            << one.cells[i].workload;
-        EXPECT_EQ(one.cells[i].result.btu.lookups,
-                  four.cells[i].result.btu.lookups);
+TEST(ExperimentRunnerTest, AnalysisFailureJoinsEveryWorker)
+{
+    // DES_ct capped at 10'000 instructions fails both its recording
+    // and its Algorithm 2 pass while the other workloads' tasks and
+    // cells are in flight. run() must rethrow the typed error with
+    // every worker joined; a worker left waiting would hang here (the
+    // ctest TIMEOUT catches that).
+    auto registry = crypto::WorkloadRegistry::global().resolver();
+    auto resolver = [registry](const std::string &name) {
+        core::Workload w = registry(name);
+        if (name == "DES_ct")
+            w.maxDynInsts = 10'000;
+        return w;
+    };
+    ExperimentMatrix m;
+    m.workloads = {"ChaCha20_ct", "DES_ct", "SHAKE"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+    for (unsigned threads : {1u, 2u, 4u}) {
+        ExperimentRunner runner(resolver, RunnerOptions{threads});
+        EXPECT_THROW(runner.run(m), core::InstructionBudgetError)
+            << threads << " threads";
     }
 }
 

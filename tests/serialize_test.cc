@@ -164,6 +164,42 @@ TEST(ArtifactVersionTest, FingerprintMismatchIsTyped)
                  core::ArtifactStaleError);
 }
 
+TEST(ArtifactVersionTest, HintOutsideTheProgramIsTyped)
+{
+    // The BTU sizes its dense branch table from the lowest and highest
+    // hint pcs, so a snapshot must not smuggle in a far-away pc.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
+    const auto &hints = artifact->traces().image.hints();
+    ASSERT_FALSE(hints.empty());
+    const auto &[pc, hint] = *hints.begin();
+    auto bytes = core::packAnalyzedWorkload(*artifact);
+
+    // The hint record: u64 pc, u8 flags, u64 targetPc, u32 offset.
+    std::vector<uint8_t> record;
+    auto put = [&](uint64_t v, int n) {
+        for (int i = 0; i < n; i++)
+            record.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    put(pc, 8);
+    put((hint.singleTarget ? 1 : 0) | (hint.shortTrace ? 2 : 0), 1);
+    put(hint.targetPc, 8);
+    put(hint.traceOffset, 4);
+    auto at = std::search(bytes.begin(), bytes.end(), record.begin(),
+                          record.end());
+    ASSERT_NE(at, bytes.end());
+    for (int i = 0; i < 8; i++)
+        at[i] = static_cast<uint8_t>(0x7ffffffffffff000ull >> (8 * i));
+    try {
+        core::unpackAnalyzedWorkload(bytes, resolver);
+        ADD_FAILURE() << "a hint outside the program loaded";
+    } catch (const core::ArtifactFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("outside the program"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stream-aware snapshots (CASSAW3): embed the trace stream file, load
 // back into stream mode, never materialize the op vector.
