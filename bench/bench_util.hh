@@ -42,7 +42,6 @@
 
 #include "core/experiment.hh"
 #include "core/experiment_config.hh"
-#include "core/experiment_service.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
 
@@ -79,8 +78,7 @@ struct CliOptions
     /// whole | stream (--trace-mode or the config's "trace_mode").
     core::TraceMode traceMode = core::TraceMode::Whole;
 
-    /// inprocess | subprocess | remote (--execution or
-    /// "execution.mode").
+    /// inprocess | subprocess (--execution or "execution.mode").
     core::ExecutionMode execution = core::ExecutionMode::InProcess;
     /// Shard count (--shards or "execution.shards").
     unsigned shards = 0;
@@ -93,18 +91,6 @@ struct CliOptions
     /// Result-store directory (--cache-dir or "cache.dir"); empty =
     /// the runner's default ("result-cache").
     std::string cacheDir;
-    /// Coordinator cell dedup (--dedup). Defaults on: identical cells
-    /// (same workload/scheme/scheme-aware config hash) simulate once.
-    bool dedupCells = true;
-    /// Drop-box directory for remote execution (--dropbox or
-    /// "execution.dropbox"); required with --execution=remote.
-    std::string dropboxDir;
-    /// Agents the remote executor spawns (--agents or
-    /// "execution.agents"); 0 = rely on a standing pool.
-    unsigned agents = 0;
-    /// Remote per-task deadline in ms (--task-timeout-ms or
-    /// "execution.task_timeout_ms"); 0 = the runner's default.
-    uint64_t taskTimeoutMs = 0;
     /// Result-store disk budget in MiB (--cache-gc-mb or
     /// "cache.gc_mb"); 0 = unbounded.
     uint64_t cacheGcMb = 0;
@@ -123,9 +109,6 @@ struct CliOptions
     bool cacheModeExplicit = false;
     bool cacheDirExplicit = false;
     bool statsOutExplicit = false;
-    bool dropboxExplicit = false;
-    bool agentsExplicit = false;
-    bool taskTimeoutMsExplicit = false;
     bool cacheGcMbExplicit = false;
 
     /// Artifact snapshot directory (from the config file).
@@ -153,22 +136,11 @@ printCliHelp(const char *prog)
         "                 files, replay from disk; same cycles, flat\n"
         "                 peak memory)\n"
         "  --execution=E  cell execution: inprocess (default,\n"
-        "                 thread pool), subprocess (one spawned\n"
+        "                 thread pool) or subprocess (one spawned\n"
         "                 --agent process per shard over a private\n"
-        "                 drop box) or remote (cells dispatched\n"
-        "                 through a shared drop-box directory to\n"
-        "                 --agent processes); byte-identical reports\n"
-        "                 either way\n"
-        "  --shards=N     shard count for --execution\n"
-        "                 subprocess/remote (default: auto)\n"
-        "  --dropbox=D    drop-box directory (the artifact store root)\n"
-        "                 for --execution=remote\n"
-        "  --agents=N     agent processes the remote executor spawns\n"
-        "                 itself (default 0: a standing agent pool is\n"
-        "                 already polling the drop box)\n"
-        "  --task-timeout-ms=N  remote per-task deadline before the\n"
-        "                 coordinator withdraws the task and retries\n"
-        "                 its cells in-process (default 120000)\n"
+        "                 drop box); byte-identical reports either way\n"
+        "  --shards=N     shard count for --execution=subprocess\n"
+        "                 (default: auto)\n"
         "  --cache=M      persistent cell-result store: off (default),\n"
         "                 on (reuse prior results, persist fresh ones)\n"
         "                 or readonly (reuse without writing)\n"
@@ -177,11 +149,6 @@ printCliHelp(const char *prog)
         "  --cache-gc-mb=N  bound the result store to N MiB after the\n"
         "                 run (oldest-access entries evicted; default\n"
         "                 0: unbounded)\n"
-        "  --dedup=D      coordinator cell dedup: on (default —\n"
-        "                 byte-identical cells simulate once and the\n"
-        "                 result replicates into every slot) or off\n"
-        "                 (every matrix cell dispatches; reports are\n"
-        "                 byte-identical either way)\n"
         "  --stats-out=F  write the run's cache/schedule telemetry\n"
         "                 JSON to F (separate from the report, which\n"
         "                 stays byte-identical warm vs. cold)\n"
@@ -256,8 +223,8 @@ parseCli(int argc, char **argv)
                 opts.execution = core::executionModeFromName(v);
             } catch (const std::invalid_argument &) {
                 std::fprintf(stderr,
-                             "invalid --execution=%s (expected "
-                             "inprocess, subprocess or remote)\n",
+                             "unknown option value: --execution=%s "
+                             "(expected inprocess or subprocess)\n",
                              v);
                 std::exit(2);
             }
@@ -298,56 +265,6 @@ parseCli(int argc, char **argv)
                 v = argv[++i];
             opts.cacheDir = v;
             opts.cacheDirExplicit = true;
-        } else if (value("--dedup") ||
-                   (arg == "--dedup" && i + 1 < argc)) {
-            const char *v = value("--dedup");
-            if (!v)
-                v = argv[++i];
-            if (std::strcmp(v, "on") == 0) {
-                opts.dedupCells = true;
-            } else if (std::strcmp(v, "off") == 0) {
-                opts.dedupCells = false;
-            } else {
-                std::fprintf(stderr,
-                             "invalid --dedup=%s (expected on or "
-                             "off)\n",
-                             v);
-                std::exit(2);
-            }
-        } else if (value("--dropbox") ||
-                   (arg == "--dropbox" && i + 1 < argc)) {
-            const char *v = value("--dropbox");
-            if (!v)
-                v = argv[++i];
-            opts.dropboxDir = v;
-            opts.dropboxExplicit = true;
-        } else if (value("--agents") ||
-                   (arg == "--agents" && i + 1 < argc)) {
-            const char *v = value("--agents");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n > 1024) {
-                std::fprintf(stderr, "invalid --agents=%s\n", v);
-                std::exit(2);
-            }
-            opts.agents = static_cast<unsigned>(n);
-            opts.agentsExplicit = true;
-        } else if (value("--task-timeout-ms") ||
-                   (arg == "--task-timeout-ms" && i + 1 < argc)) {
-            const char *v = value("--task-timeout-ms");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n == 0) {
-                std::fprintf(stderr, "invalid --task-timeout-ms=%s\n",
-                             v);
-                std::exit(2);
-            }
-            opts.taskTimeoutMs = n;
-            opts.taskTimeoutMsExplicit = true;
         } else if (value("--cache-gc-mb") ||
                    (arg == "--cache-gc-mb" && i + 1 < argc)) {
             const char *v = value("--cache-gc-mb");
@@ -500,12 +417,6 @@ matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
         opts.cacheMode = spec.cacheMode;
     if (!opts.cacheDirExplicit && !spec.cacheDir.empty())
         opts.cacheDir = spec.cacheDir;
-    if (!opts.dropboxExplicit && !spec.dropboxDir.empty())
-        opts.dropboxDir = spec.dropboxDir;
-    if (!opts.agentsExplicit && spec.agentsSet)
-        opts.agents = spec.agents;
-    if (!opts.taskTimeoutMsExplicit && spec.taskTimeoutMsSet)
-        opts.taskTimeoutMs = spec.taskTimeoutMs;
     if (!opts.cacheGcMbExplicit && spec.cacheGcMbSet)
         opts.cacheGcMb = spec.cacheGcMb;
     if (!opts.statsOutExplicit && !spec.statsOut.empty())
@@ -628,11 +539,8 @@ saveArtifacts(
 }
 
 /**
- * Runner options from the parsed CLI/config options — the one
- * translation both the direct-run path (runMatrices) and the service
- * front end (serveSpool) use, so a service-run job sees exactly the
- * execution backend a direct run would. Exits with a message when a
- * backend is missing its required settings.
+ * Runner options from the parsed CLI/config options. Exits with a
+ * message when subprocess execution has no agent binary.
  */
 inline core::RunnerOptions
 runnerOptionsFromCli(const CliOptions &opts)
@@ -645,11 +553,6 @@ runnerOptionsFromCli(const CliOptions &opts)
     runner_opts.workerBinary = opts.workerBinary;
     runner_opts.cacheMode = opts.cacheMode;
     runner_opts.cacheDir = opts.cacheDir;
-    runner_opts.dedupCells = opts.dedupCells;
-    runner_opts.dropboxDir = opts.dropboxDir;
-    runner_opts.agents = opts.agents;
-    if (opts.taskTimeoutMs != 0)
-        runner_opts.taskTimeoutMs = opts.taskTimeoutMs;
     runner_opts.cacheGcMb = opts.cacheGcMb;
     if (runner_opts.execution == core::ExecutionMode::Subprocess &&
         runner_opts.workerBinary.empty()) {
@@ -660,47 +563,7 @@ runnerOptionsFromCli(const CliOptions &opts)
                      "(which shards onto itself)\n");
         std::exit(2);
     }
-    if (runner_opts.execution == core::ExecutionMode::Remote &&
-        runner_opts.dropboxDir.empty()) {
-        std::fprintf(stderr,
-                     "--execution remote needs a drop-box directory: "
-                     "pass --dropbox=DIR or set \"execution\": "
-                     "{\"dropbox\": ...} in the config\n");
-        std::exit(2);
-    }
-    if (runner_opts.execution == core::ExecutionMode::Remote &&
-        runner_opts.agents != 0 && runner_opts.workerBinary.empty()) {
-        std::fprintf(stderr,
-                     "--agents needs an agent binary: run through "
-                     "run_experiment (which spawns itself) or set "
-                     "\"execution\": {\"worker_binary\": ...}\n");
-        std::exit(2);
-    }
     return runner_opts;
-}
-
-/**
- * Run the experiment service over `spool` with the registry resolver
- * and suite expander, using the same runner settings a direct CLI run
- * would (so service reports are byte-identical to direct ones).
- * Blocks until the stop flag / idle exit / max-jobs bound.
- */
-inline int
-serveSpool(const std::string &spool, const CliOptions &opts,
-           uint64_t poll_ms, uint64_t idle_exit_ms, unsigned max_jobs)
-{
-    core::ExperimentService::Options sopts;
-    sopts.spoolDir = spool;
-    sopts.resolver = crypto::WorkloadRegistry::global().resolver();
-    sopts.runner = runnerOptionsFromCli(opts);
-    sopts.expandSuite = [](const std::string &suite) {
-        return crypto::WorkloadRegistry::global().names(suite);
-    };
-    sopts.pollMs = poll_ms;
-    sopts.idleExitMs = idle_exit_ms;
-    sopts.maxJobs = max_jobs;
-    core::ExperimentService service(std::move(sopts));
-    return service.serve(std::cerr);
 }
 
 /**

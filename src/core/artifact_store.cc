@@ -1,26 +1,20 @@
 #include "core/artifact_store.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 
 #if !defined(_WIN32)
 #include <dirent.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
 #define CASSANDRA_POSIX_STORE 1
 #endif
 
 #include "core/byte_io.hh"
-#include "core/cell_executor.hh"
 #include "core/trace_stream.hh"
 
 namespace cassandra::core {
@@ -129,11 +123,10 @@ dirnameOf(const std::string &path)
 } // namespace
 
 // ---------------------------------------------------------------------
-// LocalDirTransport
+// Raw objects
 // ---------------------------------------------------------------------
 
-LocalDirTransport::LocalDirTransport(std::string root)
-    : root_(std::move(root))
+ArtifactStore::ArtifactStore(std::string dir) : root_(std::move(dir))
 {
     if (root_.empty())
         throw std::invalid_argument("artifact store needs a directory");
@@ -142,64 +135,62 @@ LocalDirTransport::LocalDirTransport(std::string root)
     ensureDirectories(root_);
 }
 
+std::string
+ArtifactStore::path(const std::string &key) const
+{
+    return root_ + "/" + key;
+}
+
 bool
-LocalDirTransport::exists(const std::string &key) const
+ArtifactStore::exists(const std::string &key) const
 {
 #if defined(CASSANDRA_POSIX_STORE)
     struct stat st;
-    return ::stat((root_ + "/" + key).c_str(), &st) == 0 &&
-        S_ISREG(st.st_mode);
+    return ::stat(path(key).c_str(), &st) == 0 && S_ISREG(st.st_mode);
 #else
-    std::ifstream probe(root_ + "/" + key, std::ios::binary);
+    std::ifstream probe(path(key), std::ios::binary);
     return static_cast<bool>(probe);
 #endif
 }
 
 void
-LocalDirTransport::publish(const std::string &key,
-                           const std::vector<uint8_t> &bytes)
+ArtifactStore::publish(const std::string &key,
+                       const std::vector<uint8_t> &bytes)
 {
     static std::atomic<uint64_t> sequence{0};
-    const std::string path = root_ + "/" + key;
-    const std::string parent = dirnameOf(path);
+    const std::string target = path(key);
+    const std::string parent = dirnameOf(target);
     if (!parent.empty())
         ensureDirectories(parent);
     // tmp+rename: a reader (or a concurrent publisher of the same
     // content-addressed key) never observes a torn object.
-    const std::string tmp = path + ".tmp-" + processUniqueSuffix() +
+    const std::string tmp = target + ".tmp-" + processUniqueSuffix() +
         "-" + std::to_string(sequence.fetch_add(1));
     writeFileBytes(tmp, bytes);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (std::rename(tmp.c_str(), target.c_str()) != 0) {
         std::remove(tmp.c_str());
-        throw std::runtime_error("cannot publish " + path);
+        throw std::runtime_error("cannot publish " + target);
     }
 }
 
-std::string
-LocalDirTransport::localPath(const std::string &key) const
-{
-    return root_ + "/" + key;
-}
-
 std::vector<uint8_t>
-LocalDirTransport::fetch(const std::string &key) const
+ArtifactStore::fetch(const std::string &key) const
 {
-    return readFileBytes(root_ + "/" + key, "drop-box object");
+    return readFileBytes(path(key), "drop-box object");
 }
 
 void
-LocalDirTransport::remove(const std::string &key)
+ArtifactStore::remove(const std::string &key)
 {
-    std::remove((root_ + "/" + key).c_str());
+    std::remove(path(key).c_str());
 }
 
 std::vector<std::string>
-LocalDirTransport::list(const std::string &prefix) const
+ArtifactStore::list(const std::string &prefix) const
 {
     std::vector<std::string> out;
 #if defined(CASSANDRA_POSIX_STORE)
-    const std::string dir = root_ + "/" + prefix;
-    if (DIR *d = opendir(dir.c_str())) {
+    if (DIR *d = opendir(path(prefix).c_str())) {
         while (struct dirent *entry = readdir(d)) {
             const std::string name = entry->d_name;
             if (name != "." && name != "..")
@@ -214,47 +205,9 @@ LocalDirTransport::list(const std::string &prefix) const
     return out;
 }
 
-bool
-LocalDirTransport::rename(const std::string &from, const std::string &to)
-{
-    const std::string to_path = root_ + "/" + to;
-    const std::string parent = dirnameOf(to_path);
-    if (!parent.empty())
-        ensureDirectories(parent);
-    // rename(2) is the claim primitive: the source disappears with the
-    // first successful rename, so exactly one caller wins.
-    return std::rename((root_ + "/" + from).c_str(),
-                       to_path.c_str()) == 0;
-}
-
-int64_t
-LocalDirTransport::mtime(const std::string &key) const
-{
-#if defined(CASSANDRA_POSIX_STORE)
-    struct stat st;
-    if (::stat((root_ + "/" + key).c_str(), &st) == 0)
-        return static_cast<int64_t>(st.st_mtime);
-#else
-    (void)key;
-#endif
-    return 0;
-}
-
 // ---------------------------------------------------------------------
-// ArtifactStore
+// Content-addressed snapshots
 // ---------------------------------------------------------------------
-
-ArtifactStore::ArtifactStore(std::shared_ptr<ArtifactTransport> transport)
-    : transport_(std::move(transport))
-{
-    if (!transport_)
-        throw std::invalid_argument("artifact store needs a transport");
-}
-
-ArtifactStore::ArtifactStore(const std::string &dir)
-    : ArtifactStore(std::make_shared<LocalDirTransport>(dir))
-{
-}
 
 std::string
 ArtifactStore::artifactKey(uint64_t workload_fingerprint,
@@ -270,38 +223,28 @@ std::string
 ArtifactStore::readSum(const std::string &key) const
 {
     try {
-        const std::vector<uint8_t> raw = transport_->fetch(sumKey(key));
+        const std::vector<uint8_t> raw = fetch(sumKey(key));
         return std::string(raw.begin(), raw.end());
     } catch (const std::exception &) {
         return "";
     }
 }
 
-std::string
-ArtifactStore::localFile(const std::string &key) const
-{
-    const std::string path = transport_->localPath(key);
-    if (path.empty())
-        throw std::logic_error(
-            "drop-box artifacts need a directory transport");
-    return path;
-}
-
 void
 ArtifactStore::evict(const std::string &key) const
 {
     corruptRejected_.fetch_add(1, std::memory_order_relaxed);
-    transport_->remove(sumKey(key));
-    transport_->remove(key);
+    std::remove(path(sumKey(key)).c_str());
+    std::remove(path(key).c_str());
 }
 
 bool
 ArtifactStore::hasValidArtifact(const std::string &key) const
 {
-    if (!transport_->exists(key) || !transport_->exists(sumKey(key)))
+    if (!exists(key) || !exists(sumKey(key)))
         return false;
     try {
-        return readSum(key) == sumTextOfFile(localFile(key));
+        return readSum(key) == sumTextOfFile(path(key));
     } catch (const std::exception &) {
         return false;
     }
@@ -318,13 +261,13 @@ ArtifactStore::publishArtifactOnce(
     }
     // Present but failed validation: a torn copy or bit rot. Evict
     // both halves so no agent trusts it mid-upload.
-    if (transport_->exists(key))
+    if (exists(key))
         evict(key);
 
     // Stage the object beside its key, hash it there and publish it
     // by rename (atomic, and never a whole snapshot in memory).
     static std::atomic<uint64_t> sequence{0};
-    const std::string local = localFile(key);
+    const std::string local = path(key);
     const std::string stage = local + ".tmp-" + processUniqueSuffix() +
         "-" + std::to_string(sequence.fetch_add(1));
     std::string sum;
@@ -340,7 +283,7 @@ ArtifactStore::publishArtifactOnce(
         std::remove(stage.c_str());
         throw;
     }
-    transport_->publish(sumKey(key), toBytes(sum));
+    publish(sumKey(key), toBytes(sum));
     artifactUploads_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -348,11 +291,10 @@ ArtifactStore::publishArtifactOnce(
 std::string
 ArtifactStore::fetchArtifact(const std::string &key) const
 {
-    const std::string local = localFile(key);
-    if (!transport_->exists(key))
+    if (!exists(key))
         throw std::runtime_error("drop-box artifact " + key +
                                  " is missing");
-    artifactFetches_.fetch_add(1, std::memory_order_relaxed);
+    const std::string local = path(key);
     if (readSum(key) != sumTextOfFile(local)) {
         // Evict the corrupt pair so the next publishArtifactOnce
         // re-uploads instead of endlessly reusing a bad copy.
@@ -364,12 +306,15 @@ ArtifactStore::fetchArtifact(const std::string &key) const
     return local;
 }
 
+// ---------------------------------------------------------------------
+// Task plumbing
+// ---------------------------------------------------------------------
+
 void
 ArtifactStore::publishTask(const std::string &task,
                            const std::vector<uint8_t> &manifest_bytes)
 {
-    transport_->publish("tasks/inbox/" + task + ".sm", manifest_bytes);
-    tasksPublished_.fetch_add(1, std::memory_order_relaxed);
+    publish("tasks/inbox/" + task + ".sm", manifest_bytes);
 }
 
 std::string
@@ -382,16 +327,18 @@ ArtifactStore::claimedKey(const std::string &task,
 std::string
 ArtifactStore::claimTask(const std::string &agent_token)
 {
-    for (const std::string &name : transport_->list("tasks/inbox")) {
+    for (const std::string &name : list("tasks/inbox")) {
         if (name.size() <= 3 ||
             name.compare(name.size() - 3, 3, ".sm") != 0)
             continue;
         const std::string task = name.substr(0, name.size() - 3);
-        if (transport_->rename("tasks/inbox/" + name,
-                               claimedKey(task, agent_token))) {
-            tasksClaimed_.fetch_add(1, std::memory_order_relaxed);
+        const std::string to = path(claimedKey(task, agent_token));
+        ensureDirectories(dirnameOf(to));
+        // rename(2) is the claim primitive: the source disappears with
+        // the first successful rename, so exactly one caller wins.
+        if (std::rename(path("tasks/inbox/" + name).c_str(),
+                        to.c_str()) == 0)
             return task;
-        }
         // Another agent renamed it first; try the next task.
     }
     return "";
@@ -401,7 +348,7 @@ std::vector<uint8_t>
 ArtifactStore::fetchClaimedTask(const std::string &task,
                                 const std::string &agent_token) const
 {
-    return transport_->fetch(claimedKey(task, agent_token));
+    return fetch(claimedKey(task, agent_token));
 }
 
 std::string
@@ -421,9 +368,8 @@ ArtifactStore::publishResult(const std::string &task,
                              const std::string &agent_token,
                              const std::vector<uint8_t> &result_bytes)
 {
-    transport_->publish(resultKey(task), result_bytes);
-    transport_->remove(claimedKey(task, agent_token));
-    resultsPublished_.fetch_add(1, std::memory_order_relaxed);
+    publish(resultKey(task), result_bytes);
+    remove(claimedKey(task, agent_token));
 }
 
 void
@@ -431,20 +377,26 @@ ArtifactStore::publishError(const std::string &task,
                             const std::string &agent_token,
                             const std::string &message)
 {
-    transport_->publish(errorKey(task), toBytes(message));
-    transport_->remove(claimedKey(task, agent_token));
+    publish(errorKey(task), toBytes(message));
+    remove(claimedKey(task, agent_token));
 }
 
 void
 ArtifactStore::withdrawTask(const std::string &task)
 {
-    transport_->remove("tasks/inbox/" + task + ".sm");
+    remove("tasks/inbox/" + task + ".sm");
 }
 
-bool
-ArtifactStore::agentStopRequested() const
+ArtifactStore::Stats
+ArtifactStore::stats() const
 {
-    return transport_->exists("agents/stop");
+    Stats s;
+    s.artifactUploads =
+        artifactUploads_.load(std::memory_order_relaxed);
+    s.artifactReuses = artifactReuses_.load(std::memory_order_relaxed);
+    s.corruptRejected =
+        corruptRejected_.load(std::memory_order_relaxed);
+    return s;
 }
 
 long
@@ -457,119 +409,6 @@ tokenPid(const std::string &token)
         head.find_first_not_of("0123456789") != std::string::npos)
         return 0;
     return std::strtol(head.c_str(), nullptr, 10);
-}
-
-namespace {
-
-bool
-pidIsDead(long pid)
-{
-#if defined(CASSANDRA_POSIX_STORE)
-    return pid > 0 && ::kill(static_cast<pid_t>(pid), 0) != 0 &&
-        errno == ESRCH;
-#else
-    (void)pid;
-    return false;
-#endif
-}
-
-} // namespace
-
-ArtifactStore::GcStats
-ArtifactStore::gc(int64_t max_age_seconds)
-{
-    GcStats out;
-
-    // Requeue claims whose agent died mid-task: the manifest goes back
-    // to the inbox so another agent (or the coordinator's retry) can
-    // still run the shard.
-    for (const std::string &name : transport_->list("tasks/claimed")) {
-        const size_t sm = name.find(".sm.");
-        if (sm == std::string::npos)
-            continue;
-        const std::string token = name.substr(sm + 4);
-        if (!pidIsDead(tokenPid(token)))
-            continue;
-        const std::string task = name.substr(0, sm);
-        if (transport_->rename("tasks/claimed/" + name,
-                               "tasks/inbox/" + task + ".sm"))
-            out.staleClaims++;
-    }
-
-    // Live manifests pin their artifacts: recompute the reference set
-    // from inbox + claimed instead of keeping a side database.
-    std::set<std::string> referenced;
-    auto collect = [&](const std::string &prefix) {
-        for (const std::string &name : transport_->list(prefix)) {
-            try {
-                const ShardManifest manifest = unpackShardManifest(
-                    transport_->fetch(prefix + "/" + name));
-                for (const auto &[workload, key] : manifest.artifacts) {
-                    (void)workload;
-                    referenced.insert(key);
-                }
-            } catch (const std::exception &) {
-                // Unreadable manifest: pins nothing.
-            }
-        }
-    };
-    collect("tasks/inbox");
-    collect("tasks/claimed");
-
-    const int64_t now = static_cast<int64_t>(std::time(nullptr));
-    for (const std::string &name : transport_->list("artifacts")) {
-        if (name.size() <= 3 ||
-            name.compare(name.size() - 3, 3, ".aw") != 0)
-            continue;
-        const std::string key = "artifacts/" + name;
-        if (referenced.count(key)) {
-            out.keptReferenced++;
-            continue;
-        }
-        const int64_t stamp = transport_->mtime(key);
-        if (stamp == 0 || now - stamp < max_age_seconds) {
-            // Unknown mtime keeps the artifact: never GC blind.
-            out.keptFresh++;
-            continue;
-        }
-        try {
-            out.reclaimedBytes += transport_->fetch(key).size();
-        } catch (const std::exception &) {
-        }
-        transport_->remove(sumKey(key));
-        transport_->remove(key);
-        out.removedArtifacts++;
-        gcRemoved_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Outbox entries nobody collected (a coordinator that timed out
-    // or died) age out the same way.
-    for (const std::string &name : transport_->list("tasks/outbox")) {
-        const std::string key = "tasks/outbox/" + name;
-        const int64_t stamp = transport_->mtime(key);
-        if (stamp != 0 && now - stamp >= max_age_seconds)
-            transport_->remove(key);
-    }
-    return out;
-}
-
-ArtifactStore::Stats
-ArtifactStore::stats() const
-{
-    Stats s;
-    s.artifactUploads =
-        artifactUploads_.load(std::memory_order_relaxed);
-    s.artifactReuses = artifactReuses_.load(std::memory_order_relaxed);
-    s.artifactFetches =
-        artifactFetches_.load(std::memory_order_relaxed);
-    s.corruptRejected =
-        corruptRejected_.load(std::memory_order_relaxed);
-    s.tasksPublished = tasksPublished_.load(std::memory_order_relaxed);
-    s.tasksClaimed = tasksClaimed_.load(std::memory_order_relaxed);
-    s.resultsPublished =
-        resultsPublished_.load(std::memory_order_relaxed);
-    s.gcRemoved = gcRemoved_.load(std::memory_order_relaxed);
-    return s;
 }
 
 std::string

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "core/byte_io.hh"
-#include "core/remote_executor.hh"
+#include "core/subprocess_executor.hh"
 #include "core/result_store.hh"
 #include "core/trace_stream.hh"
 
@@ -501,26 +501,13 @@ makeCellExecutor(const RunnerOptions &options,
 {
     if (options.execution == ExecutionMode::InProcess)
         return std::make_shared<InProcessExecutor>(options.threads);
-    RemoteShardExecutor::Options opts;
-    if (options.execution == ExecutionMode::Remote) {
-        if (options.dropboxDir.empty())
-            throw std::invalid_argument(
-                "remote execution needs a drop box (set "
-                "RunnerOptions::dropboxDir or \"execution\": "
-                "{\"dropbox\": ...})");
-        opts.dropboxDir = options.dropboxDir;
-        opts.agents = options.agents;
-    } else {
-        // Subprocess: a private box (dropboxDir empty) under the
-        // scratch directory, one spawned agent per shard.
-        opts.scratchDir = options.scratchDir;
-    }
+    SubprocessExecutor::Options opts;
+    opts.scratchDir = options.scratchDir;
     opts.shards = options.shards;
     opts.threads = options.threads;
     opts.agentBinary = options.workerBinary;
-    opts.taskTimeoutMs = options.taskTimeoutMs;
     opts.costSource = std::move(costSource);
-    return std::make_shared<RemoteShardExecutor>(opts);
+    return std::make_shared<SubprocessExecutor>(opts);
 }
 
 } // namespace cassandra::core

@@ -15,19 +15,16 @@
  *    this process, together with the analysis passes they wait on
  *    (runTaskGraph).
  *
- *  - RemoteShardExecutor (core/remote_executor.hh) is the one
- *    out-of-process backend. It partitions the cells into shards with
- *    the LPT scheduler below, ships each shard as a CASSSM3 manifest
- *    plus the CASSAW4 snapshots it needs through a drop box, and
+ *  - SubprocessExecutor (core/subprocess_executor.hh) is the one
+ *    out-of-process backend (ExecutionMode::Subprocess). It partitions
+ *    the cells into shards with the LPT scheduler below, spawns one
+ *    agent per shard, ships each shard as a CASSSM3 manifest plus the
+ *    CASSAW4 snapshots it needs through a private drop box, and
  *    merges the agents' CASSCR1 result sets back by global cell
  *    index, so any shard partition — and any completion order —
  *    yields the identical report. Failed shards are retried once
  *    in-process; only when that retry also fails does the run fail,
  *    with a WorkerError carrying the agent's stderr.
- *
- * ExecutionMode::Subprocess is that backend over a private drop box
- * with one spawned agent per shard; ExecutionMode::Remote is the same
- * backend over a shared box (makeCellExecutor picks).
  */
 
 #ifndef CASSANDRA_CORE_CELL_EXECUTOR_HH
@@ -48,7 +45,7 @@ class ResultStore;
 /**
  * Run fn(0..work) over a pool of `threads` workers, failing fast on
  * the first exception (rethrown here). Shared by the runner's artifact
- * resolution and the remote executor's snapshot uploads.
+ * resolution and the subprocess executor's snapshot uploads.
  */
 void runParallel(unsigned threads, size_t work,
                  const std::function<void(size_t)> &fn);
@@ -107,9 +104,6 @@ class CellExecutor
   public:
     virtual ~CellExecutor() = default;
 
-    /** Diagnostic backend name ("inprocess", "remote", ...). */
-    virtual const char *name() const = 0;
-
     /**
      * Execute every cell; the result vector is parallel to `cells`
      * and must be byte-identical across executors and schedules.
@@ -153,7 +147,6 @@ class InProcessExecutor : public CellExecutor
      * (resolved through RunnerOptions::resolveThreads). */
     explicit InProcessExecutor(unsigned threads = 0);
 
-    const char *name() const override { return "inprocess"; }
     std::vector<CellResult>
     execute(const std::vector<PlannedCell> &cells,
             const ArtifactMap &artifacts,
@@ -216,11 +209,9 @@ std::vector<uint8_t> packShardManifest(const ShardManifest &manifest);
 ShardManifest unpackShardManifest(const std::vector<uint8_t> &bytes);
 
 /**
- * Executor for RunnerOptions::execution: InProcessExecutor, or a
- * RemoteShardExecutor over a private drop box (Subprocess) or the
- * shared one in RunnerOptions::dropboxDir (Remote). `costSource` (may
- * be null) feeds the shard scheduler's cost model with prior cycles
- * from the result store.
+ * Executor for RunnerOptions::execution: InProcessExecutor or
+ * SubprocessExecutor. `costSource` (may be null) feeds the shard
+ * scheduler's cost model with prior cycles from the result store.
  */
 std::shared_ptr<CellExecutor>
 makeCellExecutor(const RunnerOptions &options,

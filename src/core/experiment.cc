@@ -36,8 +36,6 @@ executionModeName(ExecutionMode mode)
     switch (mode) {
       case ExecutionMode::Subprocess:
         return "subprocess";
-      case ExecutionMode::Remote:
-        return "remote";
       default:
         return "inprocess";
     }
@@ -51,11 +49,9 @@ executionModeFromName(const std::string &name)
         return ExecutionMode::InProcess;
     if (name == "subprocess")
         return ExecutionMode::Subprocess;
-    if (name == "remote")
-        return ExecutionMode::Remote;
     throw std::invalid_argument(
         "unknown execution mode \"" + name +
-        "\" (expected inprocess, subprocess or remote)");
+        "\" (expected inprocess or subprocess)");
 }
 
 const char *
@@ -314,37 +310,29 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // executor fills the same fixed slots, so the cells come back in
     // matrix order whatever the backend did to run them.
     if (!pending.empty()) {
-        // Opt-in dedup (the cross-job service path): identical cells
-        // — same workload, scheme and canonical sim parameters —
-        // dispatch once; executors are required to be byte-identical
-        // per cell, so replicating the result into every requesting
-        // slot (with each slot's own naming fields) cannot change any
-        // report. owner[j] is pending[j]'s representative in `unique`.
+        // Identical cells — same workload, scheme and canonical sim
+        // parameters — dispatch once; executors are required to be
+        // byte-identical per cell, so replicating the result into
+        // every requesting slot (with each slot's own naming fields)
+        // cannot change any report. owner[j] is pending[j]'s
+        // representative in `unique`.
         std::vector<size_t> owner(pending.size());
         std::vector<PlannedCell> unique;
-        if (options_.dedupCells) {
-            std::map<std::string, size_t> reps;
-            for (size_t j = 0; j < pending.size(); j++) {
-                const PlannedCell &cell = pending[j];
-                SimConfig cfg = cell.config;
-                cfg.scheme = cell.scheme;
-                char hash[24];
-                std::snprintf(hash, sizeof hash, "%016llx",
-                              static_cast<unsigned long long>(
-                                  canonicalSimConfigHash(
-                                      cfg, cell.scheme)));
-                const std::string key = cell.workload + '\0' +
-                    uarch::schemeName(cell.scheme) + '\0' + hash;
-                const auto [it, inserted] =
-                    reps.emplace(key, unique.size());
-                if (inserted)
-                    unique.push_back(cell);
-                owner[j] = it->second;
-            }
-        } else {
-            unique = pending;
-            for (size_t j = 0; j < pending.size(); j++)
-                owner[j] = j;
+        std::map<std::string, size_t> reps;
+        for (size_t j = 0; j < pending.size(); j++) {
+            const PlannedCell &cell = pending[j];
+            SimConfig cfg = cell.config;
+            cfg.scheme = cell.scheme;
+            char hash[24];
+            std::snprintf(hash, sizeof hash, "%016llx",
+                          static_cast<unsigned long long>(
+                              canonicalSimConfigHash(cfg, cell.scheme)));
+            const std::string key = cell.workload + '\0' +
+                uarch::schemeName(cell.scheme) + '\0' + hash;
+            const auto [it, inserted] = reps.emplace(key, unique.size());
+            if (inserted)
+                unique.push_back(cell);
+            owner[j] = it->second;
         }
         exp.telemetry.dedupedCells = pending.size() - unique.size();
         exp.telemetry.simulatedCells = unique.size();
@@ -392,9 +380,9 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     }
 
     if (store_) {
-        // Size-bound GC after the run's writes: long-running service
-        // hosts keep their `.cr` directory under the configured
-        // budget instead of growing without limit.
+        // Size-bound GC after the run's writes keeps the `.cr`
+        // directory under the configured budget instead of growing
+        // without limit.
         if (options_.cacheGcMb > 0 &&
             options_.cacheMode == CacheMode::On)
             exp.telemetry.cacheGcEvictions =

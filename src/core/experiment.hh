@@ -18,7 +18,8 @@
  * analyzes first, then partitions cells across `run_experiment
  * --agent` processes over serialized artifact snapshots in a drop
  * box. The runner itself is a pure coordinator: plan cells -> resolve
- * artifacts -> filter the result store -> dispatch -> merge. Each cell
+ * artifacts -> filter the result store -> collapse identical cells ->
+ * dispatch -> merge. Each cell
  * still builds its own core, so the result vector is deterministic
  * for any thread or shard count and always in matrix order
  * (workload-major, then scheme, then config) — executors are
@@ -110,8 +111,8 @@ struct RunTelemetry
     uint64_t cachedCells = 0;
     /** Cells handed to the executor (simulated fresh). */
     uint64_t simulatedCells = 0;
-    /** Cells answered by an identical cell in the same dispatch
-     * (RunnerOptions::dedupCells — the cross-job service path). */
+    /** Cells answered by an identical cell (same workload, scheme
+     * and canonical sim parameters) in the same dispatch. */
     uint64_t dedupedCells = 0;
     /** Entries the post-run size-bound GC removed from the store
      * (RunnerOptions::cacheGcMb). */
@@ -203,18 +204,14 @@ enum class ExecutionMode
     /** Thread pool inside this process (the default). */
     InProcess,
     /** Cells sharded across `run_experiment --agent` processes the
-     * run spawns over a private drop box (core/remote_executor.hh). */
+     * run spawns over a private drop box (core/subprocess_executor.hh). */
     Subprocess,
-    /** Cells dispatched through a shared ArtifactStore drop box to
-     * `run_experiment --agent` processes (core/remote_executor.hh). */
-    Remote,
 };
 
 const char *executionModeName(ExecutionMode mode);
 
 /**
- * Parse an execution mode name ("inprocess", "subprocess" or
- * "remote").
+ * Parse an execution mode name ("inprocess" or "subprocess").
  * @throws std::invalid_argument on anything else.
  */
 ExecutionMode executionModeFromName(const std::string &name);
@@ -261,15 +258,15 @@ struct RunnerOptions
     ExecutionMode execution = ExecutionMode::InProcess;
 
     /**
-     * Shard (task) count for subprocess/remote execution; 0 means
-     * auto (see resolveShards). Ignored in-process.
+     * Shard (task) count for subprocess execution; 0 means auto (see
+     * resolveShards). Ignored in-process.
      */
     unsigned shards = 0;
 
     /**
      * Agent binary the executor spawns; it must implement the
      * `--agent --inbox=DIR` contract (run_experiment does). Required
-     * for subprocess execution and for remote execution with agents.
+     * for subprocess execution.
      */
     std::string workerBinary;
 
@@ -291,32 +288,6 @@ struct RunnerOptions
 
     /** Result-store directory; empty defaults to "result-cache". */
     std::string cacheDir;
-
-    /**
-     * Drop-box directory for remote execution (the ArtifactStore
-     * root). Required when execution == Remote.
-     */
-    std::string dropboxDir;
-
-    /**
-     * Local agents the remote executor spawns per run (the
-     * `--agent` processes); 0 relies on a standing pool already
-     * polling the box. Ignored outside remote execution.
-     */
-    unsigned agents = 0;
-
-    /** Per-task deadline of remote execution before the coordinator
-     * withdraws the task and retries its cells in-process. */
-    uint64_t taskTimeoutMs = 120000;
-
-    /**
-     * Collapse identical pending cells (same workload, scheme and
-     * canonical sim parameters) into one dispatched simulation whose
-     * result fills every requesting slot. Off by default — a direct
-     * run's executor sees exactly its matrix cells; the experiment
-     * service turns it on to dedup across concurrently-batched jobs.
-     */
-    bool dedupCells = false;
 
     /**
      * Disk budget (MiB) for the result store; after a run that wrote

@@ -582,18 +582,6 @@ parseExperimentSpec(const std::string &json)
                     expectKind(ev, JsonValue::Kind::String, at,
                                "a string");
                     spec.workerBinary = ev.string;
-                } else if (ekey == "dropbox") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.dropboxDir = ev.string;
-                } else if (ekey == "agents") {
-                    spec.agents = static_cast<unsigned>(
-                        uintField(ev, at, 1024));
-                    spec.agentsSet = true;
-                } else if (ekey == "task_timeout_ms") {
-                    spec.taskTimeoutMs =
-                        uintField(ev, at, ~0ull >> 1);
-                    spec.taskTimeoutMsSet = true;
                 } else {
                     schemaFail(at, "unknown execution key");
                 }

@@ -73,7 +73,7 @@ struct ExperimentSpec
     bool traceModeSet = false;
     /**
      * Cell execution backend ("execution": {"mode":
-     * "inprocess" | "subprocess" | "remote"}). Subprocess mode shards
+     * "inprocess" | "subprocess"}). Subprocess mode shards
      * the cells across `worker_binary --agent` processes it spawns
      * over a private drop box.
      */
@@ -84,9 +84,8 @@ struct ExperimentSpec
     unsigned shards = 0;
     /** Whether the config spelled execution.shards. */
     bool shardsSet = false;
-    /** Agent binary for subprocess execution (and spawned remote
-     * agents); empty = caller's default (run_experiment uses
-     * itself). */
+    /** Agent binary for subprocess execution; empty = caller's
+     * default (run_experiment uses itself). */
     std::string workerBinary;
     /**
      * Persistent cell-result store ("cache": {"mode": "off" | "on" |
@@ -99,19 +98,6 @@ struct ExperimentSpec
     /** Result-store directory ("cache": {"dir": ...}); empty =
      * the runner's default ("result-cache"). */
     std::string cacheDir;
-    /** Drop-box directory for remote execution ("execution":
-     * {"dropbox": ...}); required when the mode is "remote". */
-    std::string dropboxDir;
-    /** Agents the remote executor spawns ("execution": {"agents":
-     * N}); 0 relies on a standing pool polling the box. */
-    unsigned agents = 0;
-    /** Whether the config spelled execution.agents. */
-    bool agentsSet = false;
-    /** Remote per-task deadline ("execution": {"task_timeout_ms":
-     * N}) before the coordinator withdraws and retries in-process. */
-    uint64_t taskTimeoutMs = 0;
-    /** Whether the config spelled execution.task_timeout_ms. */
-    bool taskTimeoutMsSet = false;
     /** Result-store disk budget in MiB ("cache": {"gc_mb": N});
      * 0 leaves the store unbounded. */
     uint64_t cacheGcMb = 0;

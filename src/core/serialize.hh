@@ -39,7 +39,7 @@
  *
  * The module also defines the CASSCR1 cell-result set: the partial
  * `Experiment` a shard agent publishes back through the drop box (one
- * CellResult per global cell index). RemoteShardExecutor merges these
+ * CellResult per global cell index). SubprocessExecutor merges these
  * sets into the final result vector byte-identically to an in-process
  * run.
  */

@@ -1,4 +1,4 @@
-#include "core/remote_executor.hh"
+#include "core/subprocess_executor.hh"
 
 #include <algorithm>
 #include <atomic>
@@ -77,13 +77,10 @@ runShardAgent(const AgentOptions &options,
         ArtifactStore store(options.inboxDir);
         const std::string token = makeAgentToken();
 
-        // Agent-local scratch for rehydrated trace streams; sweep
-        // siblings abandoned by dead agents first (crashed agents
-        // cannot clean up after themselves).
-        const std::string root = tempRoot();
-        sweepStaleProcessDirs(root, "cassandra-agent-");
+        // Agent-local scratch for rehydrated trace streams (inside the
+        // box: the coordinator points TMPDIR there).
         const std::string scratch =
-            root + "/cassandra-agent-" + token;
+            tempRoot() + "/cassandra-agent-" + token;
         ensureDirectories(scratch);
 
         // Snapshots are content-addressed, so one fetch serves every
@@ -91,7 +88,7 @@ runShardAgent(const AgentOptions &options,
         std::map<std::string, AnalyzedWorkload::Ptr> by_key;
 
         uint64_t idle_ms = 0;
-        while (!store.agentStopRequested()) {
+        while (true) {
             const std::string task = store.claimTask(token);
             if (task.empty()) {
                 if (options.idleExitMs &&
@@ -130,9 +127,7 @@ runShardAgent(const AgentOptions &options,
                                  .first;
                     artifacts.emplace(name, it->second);
                 }
-                InProcessExecutor executor(
-                    options.threads ? options.threads
-                                    : manifest.workerThreads);
+                InProcessExecutor executor(manifest.workerThreads);
                 AnalysisPhaseMask phases = 0;
                 for (const PlannedCell &cell : manifest.cells)
                     phases |= schemePhases(cell.scheme);
@@ -165,16 +160,13 @@ runShardAgent(const AgentOptions &options,
 }
 
 // ---------------------------------------------------------------------
-// RemoteShardExecutor
+// SubprocessExecutor
 // ---------------------------------------------------------------------
 
-RemoteShardExecutor::RemoteShardExecutor(Options options)
+SubprocessExecutor::SubprocessExecutor(Options options)
     : options_(std::move(options))
 {
-    if (!options_.dropboxDir.empty())
-        store_ = std::make_shared<ArtifactStore>(options_.dropboxDir);
-    // No shared box: every run spawns its agents into a private one.
-    if ((options_.agents > 0 || !store_) && options_.agentBinary.empty())
+    if (options_.agentBinary.empty())
         throw std::invalid_argument(
             "out-of-process execution needs an agent binary to spawn "
             "(set RunnerOptions::workerBinary or \"execution\": "
@@ -184,7 +176,7 @@ RemoteShardExecutor::RemoteShardExecutor(Options options)
 namespace {
 
 /** One published task the coordinator is waiting on. */
-struct RemoteTask
+struct ShardTask
 {
     unsigned shard = 0;
     std::string name;
@@ -228,9 +220,8 @@ makeBoxDir(const std::string &base)
 #if defined(CASSANDRA_POSIX_AGENTS)
 
 /**
- * fork/exec one agent with stderr captured to `stderr_path`. A
- * non-empty `tmpdir` replaces the child's TMPDIR, which is where the
- * agent keeps its scratch.
+ * fork/exec one agent with stderr captured to `stderr_path` and
+ * TMPDIR (where the agent keeps its scratch) set to `tmpdir`.
  */
 long
 spawnAgent(const std::string &binary,
@@ -246,11 +237,10 @@ spawnAgent(const std::string &binary,
     // calls may run in the child of a threaded process.
     std::vector<std::string> env;
     for (char **e = environ; *e; e++) {
-        if (tmpdir.empty() || std::strncmp(*e, "TMPDIR=", 7) != 0)
+        if (std::strncmp(*e, "TMPDIR=", 7) != 0)
             env.push_back(*e);
     }
-    if (!tmpdir.empty())
-        env.push_back("TMPDIR=" + tmpdir);
+    env.push_back("TMPDIR=" + tmpdir);
     std::vector<char *> envp;
     for (std::string &entry : env)
         envp.push_back(entry.data());
@@ -311,9 +301,9 @@ reapExitedAgents(std::vector<SpawnedAgent> &agents)
 } // namespace
 
 std::vector<CellResult>
-RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
-                             const ArtifactMap &artifacts,
-                             AnalysisPhaseMask phases)
+SubprocessExecutor::execute(const std::vector<PlannedCell> &cells,
+                            const ArtifactMap &artifacts,
+                            AnalysisPhaseMask phases)
 {
     if (cells.empty())
         return {};
@@ -321,9 +311,6 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
     // here, before the upload.
     runTaskGraph(options_.threads, cells, artifacts, phases,
                  /*simulate=*/false);
-    if (!options_.dropboxDir.empty())
-        return dispatch(cells, artifacts, options_.dropboxDir);
-
     const std::string box = makeBoxDir(options_.scratchDir);
     store_ = std::make_shared<ArtifactStore>(box);
     try {
@@ -340,27 +327,24 @@ RemoteShardExecutor::execute(const std::vector<PlannedCell> &cells,
 }
 
 std::vector<CellResult>
-RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
-                              const ArtifactMap &artifacts,
-                              const std::string &box_dir)
+SubprocessExecutor::dispatch(const std::vector<PlannedCell> &cells,
+                             const ArtifactMap &artifacts,
+                             const std::string &box_dir)
 {
-    const bool private_box = options_.dropboxDir.empty();
     RunnerOptions base(options_.threads);
     base.shards = options_.shards;
     const unsigned shards = base.resolveShards(cells.size());
     const unsigned worker_threads =
         base.resolveThreads(cells.size(), shards);
-    const unsigned num_agents =
-        private_box && options_.agents == 0 ? shards : options_.agents;
 
-    // Run-unique task names: a straggler agent finishing a withdrawn
-    // task from a previous run can never be mistaken for ours.
+    // Run-unique task and log names: a straggler result for a task
+    // withdrawn at its deadline can never be mistaken for a new one.
     static std::atomic<uint64_t> run_sequence{0};
     const std::string run_tag = "run-" + processUniqueSuffix() + "-" +
         std::to_string(run_sequence.fetch_add(1));
 
     std::vector<SpawnedAgent> agents;
-    std::vector<RemoteTask> tasks;
+    std::vector<ShardTask> tasks;
     auto reap_agents = [&]() {
 #if defined(CASSANDRA_POSIX_AGENTS)
         for (SpawnedAgent &agent : agents) {
@@ -376,15 +360,12 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
         }
 #endif
     };
-    // Drop every key this run put into the box (inbox, outbox —
-    // claimed entries belong to their agent; gc() requeues orphans).
+    // Drop every inbox and outbox key this run put into the box.
     auto scrub_tasks = [&]() {
-        for (const RemoteTask &task : tasks) {
+        for (const ShardTask &task : tasks) {
             store_->withdrawTask(task.name);
-            store_->transport().remove(
-                ArtifactStore::resultKey(task.name));
-            store_->transport().remove(
-                ArtifactStore::errorKey(task.name));
+            store_->remove(ArtifactStore::resultKey(task.name));
+            store_->remove(ArtifactStore::errorKey(task.name));
         }
     };
 
@@ -393,9 +374,8 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
         // upload. They also idle-exit on their own, so a coordinator
         // killed before the reap cannot leave immortal pollers behind.
 #if defined(CASSANDRA_POSIX_AGENTS)
-        if (num_agents > 0)
-            ensureDirectories(box_dir + "/logs");
-        for (unsigned a = 0; a < num_agents; a++) {
+        ensureDirectories(box_dir + "/logs");
+        for (unsigned a = 0; a < shards; a++) {
             SpawnedAgent agent;
             agent.stderrPath = box_dir + "/logs/" + run_tag + "-agent-" +
                 std::to_string(a) + ".stderr";
@@ -404,20 +384,17 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                 {"--agent", "--inbox=" + box_dir, "--poll-ms=10",
                  "--idle-exit-ms=" +
                      std::to_string(options_.taskTimeoutMs * 2)},
-                agent.stderrPath, private_box ? box_dir : "");
+                agent.stderrPath, box_dir);
             agents.push_back(std::move(agent));
             stats_.agentsSpawned++;
         }
 #else
-        if (num_agents > 0)
-            throw std::runtime_error(
-                "spawning local agents is not supported on this "
-                "platform");
+        throw std::runtime_error(
+            "spawning shard agents is not supported on this platform");
 #endif
 
         // Content-addressed snapshot publish, one distinct key per
-        // thread: a fingerprint already in the box (this run, a
-        // previous run, another coordinator) is never packed or
+        // thread: a fingerprint already in the box is never packed or
         // uploaded again.
         std::map<std::string, std::string> snapshot_keys;
         std::map<std::string, std::string> to_publish; // key -> name
@@ -458,7 +435,7 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
 
         const auto now = std::chrono::steady_clock::now();
         for (unsigned s = 0; s < shards; s++) {
-            RemoteTask task;
+            ShardTask task;
             task.shard = s;
             task.name = run_tag + "-shard-" + std::to_string(s);
             task.indices = partition[s];
@@ -491,8 +468,8 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
         while (open > 0) {
             // Claims held by spawned agents that have exited: those
             // tasks can never finish, so they fail now rather than at
-            // the deadline. With a private box and every agent gone,
-            // unclaimed tasks have no taker either.
+            // the deadline. With every agent gone, unclaimed tasks
+            // have no taker either.
             std::map<std::string, std::pair<const SpawnedAgent *,
                                             std::string>>
                 orphaned; // task -> (dead agent, claim token)
@@ -500,7 +477,7 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
 #if defined(CASSANDRA_POSIX_AGENTS)
             if (reapExitedAgents(agents)) {
                 for (const std::string &claim :
-                     store_->transport().list("tasks/claimed")) {
+                     store_->list("tasks/claimed")) {
                     const size_t sm = claim.find(".sm.");
                     if (sm == std::string::npos)
                         continue;
@@ -511,15 +488,14 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                                                              token};
                     }
                 }
-                all_gone = private_box &&
-                    std::all_of(agents.begin(), agents.end(),
+                all_gone = std::all_of(agents.begin(), agents.end(),
                                 [](const SpawnedAgent &agent) {
                                     return agent.exited;
                                 });
             }
 #endif
             bool progressed = false;
-            for (RemoteTask &task : tasks) {
+            for (ShardTask &task : tasks) {
                 if (task.resolved)
                     continue;
                 auto fail = [&](std::string detail, uint64_t &counter) {
@@ -532,11 +508,11 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                 const std::string error_key =
                     ArtifactStore::errorKey(task.name);
                 const auto dead = orphaned.find(task.name);
-                if (store_->transport().exists(result_key)) {
+                if (store_->exists(result_key)) {
                     try {
                         std::vector<IndexedCellResult> partial =
                             unpackCellResults(
-                                store_->transport().fetch(result_key));
+                                store_->fetch(result_key));
                         if (partial.size() != task.indices.size())
                             throw std::invalid_argument(
                                 "task returned " +
@@ -560,17 +536,17 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                     } catch (const std::exception &e) {
                         fail(e.what(), stats_.tasksFailed);
                     }
-                    store_->transport().remove(result_key);
-                } else if (store_->transport().exists(error_key)) {
+                    store_->remove(result_key);
+                } else if (store_->exists(error_key)) {
                     const std::vector<uint8_t> msg =
-                        store_->transport().fetch(error_key);
-                    store_->transport().remove(error_key);
+                        store_->fetch(error_key);
+                    store_->remove(error_key);
                     fail("agent reported: " +
                              std::string(msg.begin(), msg.end()),
                          stats_.tasksFailed);
                 } else if (dead != orphaned.end()) {
                     const SpawnedAgent &agent = *dead->second.first;
-                    store_->transport().remove(ArtifactStore::claimedKey(
+                    store_->remove(ArtifactStore::claimedKey(
                         task.name, dead->second.second));
                     fail("agent " + std::to_string(agent.pid) + " " +
                              agent.detail + " while holding the task",
@@ -587,7 +563,7 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
                     store_->withdrawTask(task.name);
                     fail("no result within " +
                              std::to_string(options_.taskTimeoutMs) +
-                             " ms (agent pool empty, lost or stuck)",
+                             " ms (agent lost or stuck)",
                          stats_.tasksTimedOut);
                 } else {
                     continue;
@@ -602,7 +578,7 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
 
         // Failed/timed-out tasks: one in-process retry before the run
         // fails.
-        for (const RemoteTask &task : tasks) {
+        for (const ShardTask &task : tasks) {
             if (!task.failed)
                 continue;
             if (!options_.retryInProcess)
@@ -640,14 +616,11 @@ RemoteShardExecutor::dispatch(const std::vector<PlannedCell> &cells,
         for (size_t i = 0; i < cells.size(); i++) {
             if (!have[i])
                 throw std::logic_error(
-                    "remote merge left cell " + std::to_string(i) +
+                    "shard merge left cell " + std::to_string(i) +
                     " unfilled");
         }
         reap_agents();
         scrub_tasks();
-        // A shared box keeps no logs of runs that went well.
-        for (const SpawnedAgent &agent : agents)
-            std::remove(agent.stderrPath.c_str());
         return results;
     } catch (...) {
         reap_agents();

@@ -1,13 +1,14 @@
 /**
  * @file
- * The out-of-process cell executor: shard dispatch over the
- * content-addressed artifact store.
+ * The out-of-process cell executor: shard dispatch to spawned agent
+ * processes over a private, content-addressed drop box.
  *
- * RemoteShardExecutor publishes CASSSM3 shard manifests and CASSAW4
- * snapshots into an ArtifactStore drop box and lets *agents* —
- * `run_experiment --agent --inbox=DIR` processes, on this host or any
- * host that can see the box — claim tasks, execute them and publish
- * CASSCR1 result sets back:
+ * Each execute() creates a fresh ArtifactStore box under
+ * Options::scratchDir (empty = the temp directory), spawns one
+ * `run_experiment --agent --inbox=BOX` process per shard into it, and
+ * publishes CASSSM3 shard manifests plus the CASSAW4 snapshots they
+ * reference. Agents claim tasks, execute them and publish CASSCR1
+ * result sets back; results merge by global cell index:
  *
  *   coordinator                      drop box              agents
  *   ----------                       --------              ------
@@ -16,22 +17,12 @@
  *                                    tasks/claimed/        execute
  *   poll results             <----   tasks/outbox/  <----  publishResult
  *
- * Two spellings of the one mechanism:
- *
- *  - Shared box (Options::dropboxDir; `--execution remote`).
- *    Snapshots are content-addressed (workload fingerprint + CASSAW
- *    version), so across runs, sweeps and coordinators each distinct
- *    workload uploads exactly once (ArtifactStore::Stats proves it).
- *    Agents are a standing pool, or Options::agents local ones
- *    spawned for the duration of one execute() call.
- *
- *  - Private box (no dropboxDir; `--execution subprocess`). Each
- *    execute() creates a fresh box under Options::scratchDir (empty =
- *    the temp directory) and spawns one agent per shard into it, with
- *    TMPDIR pointed inside the box so the agents' rehydrated trace
- *    streams live there too. The box is removed after a successful
- *    run and kept, with every agent's captured stderr, when the run
- *    fails.
+ * Snapshots are content-addressed (workload fingerprint + CASSAW
+ * version), so each distinct workload uploads once per run however
+ * many shards read it. Agents run with TMPDIR pointed inside the box,
+ * so their rehydrated trace streams live there too. The box is removed
+ * after a successful run and kept, with every agent's captured stderr,
+ * when the run fails.
  *
  * Failure handling: a task whose agent reports an error, returns a
  * corrupt result set, or has no result after Options::taskTimeoutMs
@@ -42,8 +33,8 @@
  * task names make a late straggler result harmless.
  */
 
-#ifndef CASSANDRA_CORE_REMOTE_EXECUTOR_HH
-#define CASSANDRA_CORE_REMOTE_EXECUTOR_HH
+#ifndef CASSANDRA_CORE_SUBPROCESS_EXECUTOR_HH
+#define CASSANDRA_CORE_SUBPROCESS_EXECUTOR_HH
 
 #include <cstdint>
 #include <iosfwd>
@@ -61,43 +52,38 @@ struct AgentOptions
 {
     /** Drop-box directory to poll (required). */
     std::string inboxDir;
-    /** Thread budget per task; 0 honors the manifest's workerThreads. */
-    unsigned threads = 0;
     /** Poll interval while the inbox is empty. */
     uint64_t pollMs = 50;
     /**
-     * Exit after this long with no work (0 = poll until the box's
-     * stop flag rises). Coordinator-spawned pools set a small value
-     * so orphaned agents cannot outlive their run forever.
+     * Exit after this long with no work (0 = poll until killed). The
+     * coordinator sets it, so an agent orphaned by a killed
+     * coordinator cannot outlive its run forever.
      */
     uint64_t idleExitMs = 0;
 };
 
 /**
  * The agent main loop: claim tasks from the box, fetch + validate the
- * referenced snapshots, execute the cells in-process and publish
- * CASSCR1 results (errors become error reports, not agent deaths).
- * Returns 0 on a clean stop (stop flag or idle exit). Honors the
- * CASSANDRA_TEST_WORKER_CRASH fault-injection hook: an agent that
+ * referenced snapshots, execute the cells in-process with the
+ * manifest's workerThreads and publish CASSCR1 results (errors become
+ * error reports, not agent deaths). Returns 0 on an idle exit. Honors
+ * the CASSANDRA_TEST_WORKER_CRASH fault-injection hook: an agent that
  * claims a manifest whose shard index matches the variable exits at
  * once with status 42, leaving its claim behind like a hard crash
  * (exercises the coordinator's reaping and retry paths). `log` gets
- * one line per task for service logs.
+ * one line per task.
  */
 int runShardAgent(const AgentOptions &options,
                   const AnalysisCache::Resolver &resolver,
                   std::ostream &log);
 
-/** Cells dispatched through a drop box to agent processes
- * (file comment). */
-class RemoteShardExecutor : public CellExecutor
+/** Cells dispatched to spawned agent processes over a private drop
+ * box (file comment). */
+class SubprocessExecutor : public CellExecutor
 {
   public:
     struct Options
     {
-        /** Shared drop-box directory; empty runs each execute() over
-         * a private box instead. */
-        std::string dropboxDir;
         /** Parent of the private box; empty = the temp directory. */
         std::string scratchDir;
         /** Shard (task) count; 0 = auto (RunnerOptions::resolveShards). */
@@ -105,22 +91,15 @@ class RemoteShardExecutor : public CellExecutor
         /** Coordinator-side thread request; per-task budgets derive
          * from it via RunnerOptions::resolveThreads(work, shards). */
         unsigned threads = 0;
-        /**
-         * Local agents to spawn for the duration of execute(); 0
-         * relies on a standing pool already polling a shared box, or
-         * spawns one per shard into a private box.
-         */
-        unsigned agents = 0;
-        /** Binary implementing `--agent` (required whenever agents
-         * are spawned). */
+        /** Binary implementing `--agent` (required). */
         std::string agentBinary;
         /** Per-task deadline before the coordinator gives up on the
-         * box and retries the task's cells in-process. */
+         * task and retries its cells in-process (tests shorten it). */
         uint64_t taskTimeoutMs = 120000;
         /** Coordinator poll interval for outbox results. */
         uint64_t pollMs = 20;
         /** Retry timed-out/failed tasks in-process before failing the
-         * run (disabled, they raise WorkerError directly). */
+         * run (tests disable it to see the WorkerError directly). */
         bool retryInProcess = true;
         /** Prior-cycles source for the scheduler's cost model (may be
          * null: static ops counts). */
@@ -138,11 +117,9 @@ class RemoteShardExecutor : public CellExecutor
         uint64_t agentsSpawned = 0;
     };
 
-    /** @throws std::invalid_argument when agents would be spawned
-     * (agents > 0, or a private box) but agentBinary is empty. */
-    explicit RemoteShardExecutor(Options options);
+    /** @throws std::invalid_argument when agentBinary is empty. */
+    explicit SubprocessExecutor(Options options);
 
-    const char *name() const override { return "remote"; }
     std::vector<CellResult>
     execute(const std::vector<PlannedCell> &cells,
             const ArtifactMap &artifacts,
@@ -152,10 +129,10 @@ class RemoteShardExecutor : public CellExecutor
 
     const Stats &stats() const { return stats_; }
 
-    /** The store the last execute() published through (upload/reuse
-     * counters live here — how tests prove upload-once per
-     * fingerprint). Null for a private box before the first run. */
-    ArtifactStore &store() const { return *store_; }
+    /** The box store of the last execute() (its upload/reuse counters
+     * prove upload-once per fingerprint); null before the first
+     * execute(). */
+    const std::shared_ptr<ArtifactStore> &store() const { return store_; }
 
   private:
     std::vector<CellResult>
@@ -170,4 +147,4 @@ class RemoteShardExecutor : public CellExecutor
 
 } // namespace cassandra::core
 
-#endif // CASSANDRA_CORE_REMOTE_EXECUTOR_HH
+#endif // CASSANDRA_CORE_SUBPROCESS_EXECUTOR_HH

@@ -312,8 +312,8 @@ std::string defaultTraceStreamDir();
  * processes — including this one — are untouched, as are names whose
  * suffix is not pid-shaped (random-token platforms). Returns the
  * number of directories removed; removal races with a concurrent
- * sweeper are ignored. Coordinators and agents call this on startup
- * so crashed predecessors cannot leak scratch forever.
+ * sweeper are ignored. The subprocess executor calls this before it
+ * makes a drop box, so crashed predecessors cannot leak boxes forever.
  */
 unsigned sweepStaleProcessDirs(const std::string &root,
                                const std::string &prefix);

@@ -8,26 +8,31 @@
  * failure), and subprocess execution against the real
  * `run_experiment --agent` binary — 1-shard parity with the
  * in-process executor across every scheme, determinism across shard
- * counts, the dead-agent retry path (noticed long before the task
- * deadline) and the typed WorkerError with captured stderr.
+ * counts, one snapshot upload per distinct workload, the dead-agent
+ * retry path (noticed long before the task deadline), the hung-agent
+ * deadline retry and the typed WorkerError with captured stderr.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 #include <stdexcept>
 #if !defined(_WIN32)
 #include <unistd.h>
 #endif
 
+#include "core/artifact_store.hh"
 #include "core/cell_executor.hh"
 #include "core/experiment.hh"
 #include "core/experiment_config.hh"
-#include "core/remote_executor.hh"
+#include "core/subprocess_executor.hh"
 #include "core/result_store.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
@@ -43,7 +48,7 @@ using core::ExperimentRunner;
 using core::IndexedCellResult;
 using core::InProcessExecutor;
 using core::PlannedCell;
-using core::RemoteShardExecutor;
+using core::SubprocessExecutor;
 using core::RunnerOptions;
 using core::ShardManifest;
 using core::SimConfig;
@@ -99,10 +104,10 @@ subprocessOptions(unsigned shards)
 
 /** What makeCellExecutor builds for subprocess execution: a private
  * drop box with one spawned agent per shard. */
-RemoteShardExecutor::Options
+SubprocessExecutor::Options
 privateBoxOptions(unsigned shards)
 {
-    RemoteShardExecutor::Options opts;
+    SubprocessExecutor::Options opts;
     opts.shards = shards;
     opts.agentBinary = workerBinary ? workerBinary : "";
     return opts;
@@ -294,7 +299,7 @@ TEST(RunnerOptionsTest, ShardCountClampsToWork)
 
 TEST(SubprocessExecutorTest, WorkerBinaryIsRequired)
 {
-    EXPECT_THROW(RemoteShardExecutor(RemoteShardExecutor::Options{}),
+    EXPECT_THROW(SubprocessExecutor(SubprocessExecutor::Options{}),
                  std::invalid_argument);
     RunnerOptions options;
     options.execution = ExecutionMode::Subprocess;
@@ -528,6 +533,67 @@ TEST(SubprocessExecutorTest, DeterministicAcrossShardCounts)
     }
 }
 
+TEST(SubprocessExecutorTest, AgentExecutesManifestsEndToEnd)
+{
+    ASSERT_NE(workerBinary, nullptr);
+    ExperimentMatrix matrix;
+    matrix.workloads = {"ChaCha20_ct", "SHAKE"};
+    matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                      Scheme::Spt};
+    const std::string want =
+        jsonReport(ExperimentRunner(registryCache()).run(matrix));
+
+    auto executor =
+        std::make_shared<SubprocessExecutor>(privateBoxOptions(2));
+    auto exp = ExperimentRunner(registryCache(), subprocessOptions(2),
+                                executor)
+                   .run(matrix);
+
+    // The executor contract: byte-identical to in-process.
+    EXPECT_EQ(want, jsonReport(exp));
+    EXPECT_EQ(executor->stats().tasksPublished, 2u);
+    EXPECT_EQ(executor->stats().tasksCompleted, 2u);
+    EXPECT_EQ(executor->stats().tasksTimedOut, 0u);
+    // Content addressing: one upload per distinct workload, however
+    // many shards read it.
+    ASSERT_NE(executor->store(), nullptr);
+    EXPECT_EQ(executor->store()->stats().artifactUploads, 2u);
+}
+
+TEST(SubprocessExecutorTest, HungAgentTimesOutAndRetriesInProcess)
+{
+    // An agent that never claims its task: the task hits its (short)
+    // deadline, is withdrawn, and its cells run in-process — the
+    // recovery that covers a lost or stuck agent.
+    ExperimentMatrix matrix;
+    matrix.workloads = {"ChaCha20_ct"};
+    matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+    const std::string want =
+        jsonReport(ExperimentRunner(registryCache()).run(matrix));
+
+    const std::string hang = testing::TempDir() + "/hung-agent-" +
+        std::to_string(getpid()) + ".sh";
+    {
+        std::ofstream script(hang);
+        script << "#!/bin/sh\nexec sleep 60\n";
+    }
+    ASSERT_EQ(chmod(hang.c_str(), 0755), 0);
+
+    SubprocessExecutor::Options opts = privateBoxOptions(1);
+    opts.agentBinary = hang;
+    opts.taskTimeoutMs = 200;
+    auto executor = std::make_shared<SubprocessExecutor>(opts);
+    auto exp = ExperimentRunner(registryCache(), subprocessOptions(1),
+                                executor)
+                   .run(matrix);
+    std::remove(hang.c_str());
+
+    EXPECT_EQ(want, jsonReport(exp));
+    EXPECT_EQ(executor->stats().tasksTimedOut, 1u);
+    EXPECT_EQ(executor->stats().cellsRetried, exp.cells.size());
+    EXPECT_EQ(executor->stats().tasksCompleted, 0u);
+}
+
 TEST(SubprocessExecutorTest, CrashedAgentCellsAreRetriedInProcess)
 {
     ASSERT_NE(workerBinary, nullptr);
@@ -538,7 +604,7 @@ TEST(SubprocessExecutorTest, CrashedAgentCellsAreRetriedInProcess)
         jsonReport(ExperimentRunner(registryCache()).run(matrix));
 
     auto executor =
-        std::make_shared<RemoteShardExecutor>(privateBoxOptions(2));
+        std::make_shared<SubprocessExecutor>(privateBoxOptions(2));
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "1", 1), 0);
     auto exp = ExperimentRunner(registryCache(),
                                 subprocessOptions(2), executor)
@@ -562,9 +628,9 @@ TEST(SubprocessExecutorTest, DeadAgentIsNoticedLongBeforeTheDeadline)
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
 
-    RemoteShardExecutor::Options opts = privateBoxOptions(1);
+    SubprocessExecutor::Options opts = privateBoxOptions(1);
     opts.taskTimeoutMs = 60000;
-    auto executor = std::make_shared<RemoteShardExecutor>(opts);
+    auto executor = std::make_shared<SubprocessExecutor>(opts);
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);
     const auto start = std::chrono::steady_clock::now();
     ExperimentRunner(registryCache(), subprocessOptions(1), executor)
@@ -605,9 +671,9 @@ TEST(SubprocessExecutorTest, PrivateBoxIsRemovedOnSuccess)
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
 
-    RemoteShardExecutor::Options opts = privateBoxOptions(2);
+    SubprocessExecutor::Options opts = privateBoxOptions(2);
     opts.scratchDir = base;
-    auto executor = std::make_shared<RemoteShardExecutor>(opts);
+    auto executor = std::make_shared<SubprocessExecutor>(opts);
     ExperimentRunner(registryCache(), subprocessOptions(2), executor)
         .run(matrix);
 
@@ -625,10 +691,10 @@ TEST(SubprocessExecutorTest, PrivateBoxIsKeptOnFailure)
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline};
 
-    RemoteShardExecutor::Options opts = privateBoxOptions(1);
+    SubprocessExecutor::Options opts = privateBoxOptions(1);
     opts.scratchDir = base;
     opts.retryInProcess = false; // make the crash fatal
-    auto executor = std::make_shared<RemoteShardExecutor>(opts);
+    auto executor = std::make_shared<SubprocessExecutor>(opts);
     ExperimentRunner runner(registryCache(), subprocessOptions(1),
                             executor);
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);
@@ -649,9 +715,9 @@ TEST(SubprocessExecutorTest, AgentFailureIsTypedWithStderr)
     matrix.workloads = {"ChaCha20_ct"};
     matrix.schemes = {Scheme::UnsafeBaseline};
 
-    RemoteShardExecutor::Options opts = privateBoxOptions(1);
+    SubprocessExecutor::Options opts = privateBoxOptions(1);
     opts.retryInProcess = false; // surface the failure directly
-    auto executor = std::make_shared<RemoteShardExecutor>(opts);
+    auto executor = std::make_shared<SubprocessExecutor>(opts);
     ExperimentRunner runner(registryCache(), subprocessOptions(1),
                             executor);
     ASSERT_EQ(setenv("CASSANDRA_TEST_WORKER_CRASH", "0", 1), 0);

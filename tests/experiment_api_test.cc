@@ -4,7 +4,8 @@
  * Simulation -> OooCore -> Btu (BTU geometry really reaches the
  * unit, zero geometry is rejected), ExperimentRunner determinism
  * across thread counts and its failure path, parity with fresh
- * single-workload analyses, and the structured reporters.
+ * single-workload analyses, cell dedup across batched matrices, and
+ * the structured reporters.
  */
 
 #include <gtest/gtest.h>
@@ -232,6 +233,39 @@ TEST(ExperimentRunnerTest, MatrixOrderAndFind)
               &exp.cells[0]);
     EXPECT_EQ(exp.find("ChaCha20_ct", Scheme::Spt), nullptr);
     EXPECT_EQ(exp.find("DES_ct", Scheme::Cassandra), nullptr);
+}
+
+TEST(ExperimentRunnerTest, OverlappingMatricesMatchSeparateRunsWithDedup)
+{
+    // Two sweeps sharing the SHAKE x {baseline, Cassandra} cells.
+    ExperimentMatrix a;
+    a.workloads = {"ChaCha20_ct", "SHAKE"};
+    a.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+    ExperimentMatrix b;
+    b.workloads = {"SHAKE"};
+    b.schemes = a.schemes;
+
+    const auto resolver = crypto::WorkloadRegistry::global().resolver();
+    const core::Experiment batch = ExperimentRunner(resolver).run({a, b});
+    ASSERT_EQ(batch.cells.size(), a.cellCount() + b.cellCount());
+    // b's two cells repeat a's SHAKE cells: each simulates once.
+    EXPECT_EQ(batch.telemetry.dedupedCells, 2u);
+    EXPECT_EQ(batch.telemetry.simulatedCells, 4u);
+
+    // Each matrix's slice of the batch reports byte-identically to a
+    // run of that matrix alone.
+    const auto report = [](std::vector<core::CellResult> cells) {
+        core::Experiment exp;
+        exp.cells = std::move(cells);
+        std::ostringstream os;
+        core::JsonReporter().write(exp, os);
+        return os.str();
+    };
+    const auto split = batch.cells.begin() + a.cellCount();
+    EXPECT_EQ(report({batch.cells.begin(), split}),
+              report(ExperimentRunner(resolver).run(a).cells));
+    EXPECT_EQ(report({split, batch.cells.end()}),
+              report(ExperimentRunner(resolver).run(b).cells));
 }
 
 TEST(ExperimentRunnerTest, UnknownWorkloadRethrows)

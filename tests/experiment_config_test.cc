@@ -12,6 +12,8 @@
 #include <fstream>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "core/cell_executor.hh"
@@ -154,6 +156,18 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
                      R"({"workloads": ["A"], "schemes": ["SPT"],
                          "threads": 1.5})"),
                  std::invalid_argument);
+    // The retired shared-box execution mode and its keys.
+    for (const char *execution :
+         {R"({"mode": "remote"})", R"({"dropbox": "box"})",
+          R"({"agents": 2})", R"({"task_timeout_ms": 200})"}) {
+        EXPECT_THROW(parseExperimentSpec(
+                         std::string(R"({"workloads": ["A"],
+                                         "schemes": ["SPT"],
+                                         "execution": )") +
+                         execution + "}"),
+                     std::invalid_argument)
+            << execution;
+    }
 }
 
 TEST(ExperimentConfigTest, TraceModeParses)
@@ -230,12 +244,30 @@ TEST(ExperimentConfigTest, TraceCompressionKeyIsRejected)
     }
 }
 
-TEST(ExperimentConfigDeathTest, TraceCompressionFlagIsUnknown)
+TEST(ExperimentConfigDeathTest, RetiredFlagsAreUnknown)
 {
-    const char *argv[] = {"bench", "--trace-compression=delta"};
-    EXPECT_EXIT(bench::parseCli(2, const_cast<char **>(argv)),
-                ::testing::ExitedWithCode(2),
-                "unknown option: --trace-compression=delta");
+    // Retired knobs (trace compression, cell dedup) and the retired
+    // shared-box execution mode, its flags and the spool service.
+    const std::vector<std::vector<const char *>> cases = {
+        {"--trace-compression=delta"},
+        {"--execution", "remote"},
+        {"--dropbox=box"},
+        {"--agents=2"},
+        {"--task-timeout-ms=200"},
+        {"--serve"},
+        {"--submit"},
+        {"--dedup=on"},
+    };
+    for (const auto &flags : cases) {
+        std::vector<const char *> argv = {"bench"};
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        EXPECT_EXIT(bench::parseCli(static_cast<int>(argv.size()),
+                                    const_cast<char **>(argv.data())),
+                    ::testing::ExitedWithCode(2),
+                    std::string("unknown option(: | value: )") +
+                        flags[0])
+            << flags[0];
+    }
 }
 
 /**

@@ -87,7 +87,7 @@ TEST(KmersTest, IncompressibleSequenceStays)
 {
     // All-distinct letters cannot compress.
     VanillaTrace v;
-    for (int i = 0; i < 10; i++)
+    for (unsigned i = 0; i < 10; i++)
         v.push_back({0x100 + 16u * i, 1 + i});
     KmersResult k = core::compressKmers(core::encodeDna(v));
     EXPECT_EQ(k.seq.size(), 10u);
@@ -125,8 +125,9 @@ TEST(KmersTest, MaxKLimitsPatternSize)
     KmersResult k = core::compressKmers(core::encodeDna(v), params);
     EXPECT_EQ(k.expand(), v);
     for (const auto &sym : k.seq) {
-        if (k.isPattern(sym))
+        if (k.isPattern(sym)) {
             EXPECT_LE(k.expandSymbol(sym).size(), 16u);
+        }
     }
 }
 
