@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) for trace replay throughput: the
  * scalar next() path versus the batched SoA nextBatch() paths, over
- * both source kinds (in-memory TraceSpanSource and on-disk
- * TraceCursor). Items processed = timing ops replayed, so the
+ * the in-memory sources (an AoS TraceSpanSource, and the SoA chunks
+ * a whole-mode artifact replays through ChunkSpanSource) and the
+ * on-disk TraceCursor. Items processed = timing ops replayed, so the
  * items-per-second column reads directly as replay ops/sec; the
  * batch/scalar ratio is the tentpole speedup the SoA replay layer
  * claims (docs/ARCHITECTURE.md, "Performance").
@@ -13,7 +14,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "core/analysis_pipeline.hh"
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
@@ -47,16 +50,17 @@ workload()
     return w;
 }
 
-/** Whole-trace SoA mirror shared by the zero-copy span benchmark. */
-const uarch::OpBatchStorage &
-mirror()
+/** The same trace as the SoA chunks a whole-mode artifact holds
+ * (retained by one fused recording pass). */
+const std::vector<core::AnalysisChunk> &
+chunks()
 {
-    static const uarch::OpBatchStorage soa = [] {
-        uarch::OpBatchStorage s;
-        uarch::buildOpBatchStorage(trace(), s);
-        return s;
+    static const std::vector<core::AnalysisChunk> c = [] {
+        std::vector<core::AnalysisChunk> out;
+        core::runFusedOpPass(workload(), 2, {}, {}, &out);
+        return out;
     }();
-    return soa;
+    return c;
 }
 
 /** CASSTF2 stream file of the same trace (written once). */
@@ -150,8 +154,8 @@ BENCHMARK(BM_ReplaySpanScalarAdapter);
 void
 BM_ReplaySpanBatchTranspose(benchmark::State &state)
 {
-    // Native batch path without a shared mirror: one AoS -> SoA
-    // transpose per 4K-op batch.
+    // Native AoS batch path: one AoS -> SoA transpose per 4K-op
+    // batch.
     const TimingTrace &t = trace();
     for (auto _ : state) {
         uarch::TraceSpanSource src(t);
@@ -165,12 +169,12 @@ BENCHMARK(BM_ReplaySpanBatchTranspose);
 void
 BM_ReplaySpanBatchShared(benchmark::State &state)
 {
-    // The hot production path: zero-copy views into the whole-trace
-    // mirror the analysis built once (AnalyzedWorkload::openOpSource).
+    // The hot production path: zero-copy views into the SoA chunks
+    // every cell of a whole-mode artifact shares
+    // (AnalyzedWorkload::openOpSource).
     const TimingTrace &t = trace();
-    const uarch::OpBatchStorage &soa = mirror();
     for (auto _ : state) {
-        uarch::TraceSpanSource src(t, soa);
+        core::ChunkSpanSource src(chunks());
         benchmark::DoNotOptimize(drainBatched(src));
     }
     state.SetItemsProcessed(state.iterations() *

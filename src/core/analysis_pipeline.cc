@@ -5,6 +5,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -27,9 +28,9 @@ cryptoTable(const ir::Program &prog)
     return table;
 }
 
-/** Fill the inst/crypto/tainted columns from the pc column. Executed
- * pcs were validated by Machine::step before the probe fired, so no
- * range check is needed (unlike the cursor, which reads from disk). */
+/** Fill the inst/crypto columns from the pc column. Executed pcs were
+ * validated by Machine::step before the probe fired, so no range check
+ * is needed here (relinkLoadedChunks checks pcs read from disk). */
 void
 relinkChunk(AnalysisChunk &chunk, const ir::Program &prog,
             const std::vector<uint8_t> &crypto)
@@ -40,7 +41,6 @@ relinkChunk(AnalysisChunk &chunk, const ir::Program &prog,
             (chunk.ops.pc[i] - ir::Program::codeBase) / ir::instBytes);
         chunk.ops.inst[i] = insts + idx;
         chunk.ops.crypto[i] = crypto[idx];
-        chunk.ops.tainted[i] = 0;
     }
 }
 
@@ -387,7 +387,6 @@ ChunkSpanSource::next()
     op_.nextPc = c.ops.nextPc[pos_];
     op_.inst = c.ops.inst[pos_];
     op_.crypto = c.ops.crypto[pos_] != 0;
-    op_.tainted = c.ops.tainted[pos_] != 0;
     pos_++;
     return &op_;
 }
@@ -402,6 +401,21 @@ ChunkSpanSource::nextBatch(uarch::OpBatch &out, size_t max_ops)
     out = c.ops.view(pos_, n);
     pos_ += n;
     return n;
+}
+
+void
+relinkLoadedChunks(std::vector<AnalysisChunk> &chunks,
+                   const ir::Program &program)
+{
+    const std::vector<uint8_t> crypto = cryptoTable(program);
+    for (AnalysisChunk &chunk : chunks) {
+        for (size_t i = 0; i < chunk.size; i++) {
+            if (!program.validPc(chunk.ops.pc[i]))
+                throw std::invalid_argument(
+                    "snapshot trace pc outside program");
+        }
+        relinkChunk(chunk, program, crypto);
+    }
 }
 
 uint64_t

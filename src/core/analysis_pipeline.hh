@@ -2,11 +2,9 @@
  * @file
  * Fused single-pass analysis pipeline.
  *
- * The reference analysis makes one functional machine run per
- * demand-driven phase: a counting run sizes the trace, a recording run
- * fills it (per-op through a std::function sink), and the taint
- * pre-pass replays the recorded ops once more. This pipeline collapses
- * them into ONE instrumented run: the machine's SoA batch probe fills
+ * Every analysis phase that reads the executed ops — recording the
+ * timing trace, writing it to a stream file, the ProSpeCT taint walk —
+ * rides ONE instrumented machine run: the machine's SoA batch probe fills
  * fixed-size AnalysisChunk spans (pc / memAddr / nextPc columns
  * straight from the interpreter loop, no per-op indirect call), each
  * full chunk is relinked (inst pointer + crypto flag from a
@@ -25,10 +23,11 @@
  *    observed op sequence is identical to Inline.
  *
  * Parity contract: the chunk column values equal, op for op, what the
- * scalar recordTrace sink observes (the batch probe fires at exactly
- * the instProbe site), so every consumer's output is byte-identical to
- * its reference-pass counterpart. The reference passes stay in-tree as
- * the oracle the parity suite compares against.
+ * scalar uarch::recordTrace probe observes (the batch probe fires at
+ * exactly the instProbe site), so every consumer's output is
+ * byte-identical to a per-op pass over that trace. The per-op
+ * references live in the parity suite (tests/fused_analysis_test.cc),
+ * not in the library.
  */
 
 #ifndef CASSANDRA_CORE_ANALYSIS_PIPELINE_HH
@@ -65,7 +64,7 @@ struct AnalysisChunk
  * chunk, in dynamic-op order, from a single thread (the producer in
  * Inline mode, the consumer thread in Threaded mode); finish() after
  * the last chunk. The chunk is fully relinked (inst/crypto columns
- * valid, tainted zeroed) when consume() sees it.
+ * valid) when consume() sees it.
  */
 class BatchConsumer
 {
@@ -118,7 +117,7 @@ struct FusedPassStats
  * the consumed chunks are additionally moved there in order — the
  * whole-mode trace storage, produced by the same pass that feeds the
  * consumers. Throws InstructionBudgetError (context "timing trace",
- * matching the reference recordTrace) when the run does not halt.
+ * matching uarch::recordTrace) when the run does not halt.
  */
 FusedPassStats
 runFusedOpPass(const Workload &workload, int which,
@@ -126,8 +125,8 @@ runFusedOpPass(const Workload &workload, int which,
                const AnalysisPipelineOptions &options = {},
                std::vector<AnalysisChunk> *retain = nullptr);
 
-/** Result of one fused Algorithm 2 collection run (the batched
- * counterpart of tracegen's per-input instrumented run). */
+/** Result of one fused Algorithm 2 collection run (steps A-C on one
+ * analysis input). */
 struct FusedBranchRun
 {
     std::map<uint64_t, FoldedTrace> traces;
@@ -139,9 +138,10 @@ struct FusedBranchRun
 /**
  * Fused Algorithm 2 collection: one machine run on input `which` whose
  * control-flow outcomes stream through the branch batch probe into a
- * detached FoldedTraceCollector (crypto-filtered like the probe-driven
- * collector). The folded traces and held/peak byte accounting are
- * identical to collectRun's — onBranch is the single shared seam.
+ * FoldedTraceCollector, crypto-filtered per static instruction.
+ * onBranch is the single seam, so a per-branch machine probe feeding
+ * the same collector yields identical folded traces and held/peak
+ * byte accounting (the parity suite checks this).
  */
 FusedBranchRun
 runFusedBranchPass(const Workload &workload, int which,
@@ -149,8 +149,9 @@ runFusedBranchPass(const Workload &workload, int which,
                    const AnalysisPipelineOptions &options = {});
 
 /**
- * TimingOpSource over retained fused chunks: the whole-mode replay
- * source when analysis ran fused. nextBatch() serves zero-copy views
+ * TimingOpSource over retained chunks: the whole-mode replay source,
+ * for a fresh analysis and a loaded snapshot alike. nextBatch() serves
+ * zero-copy views
  * into the chunks (a batch never crosses a chunk boundary); next() is
  * the scalar adapter. `chunks` must outlive the source.
  */
@@ -176,9 +177,18 @@ class ChunkSpanSource final : public uarch::TimingOpSource
 };
 
 /**
+ * Relink chunks whose pc columns were read from disk (whole-mode
+ * snapshot loads): fills the inst/crypto columns as the fused pass
+ * does, but checks every pc first, since the bytes are untrusted.
+ * Throws std::invalid_argument on a pc outside the program or off an
+ * instruction boundary (a stale or corrupt snapshot).
+ */
+void relinkLoadedChunks(std::vector<AnalysisChunk> &chunks,
+                        const ir::Program &program);
+
+/**
  * Process-wide count of fused analysis passes (op passes and branch
- * passes both count — each replaces at least one reference machine
- * run). Feeds the analysis_fused_passes telemetry field.
+ * passes both count). Feeds the analysis_fused_passes telemetry field.
  */
 uint64_t fusedAnalysisPasses();
 

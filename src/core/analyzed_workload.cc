@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -19,23 +18,6 @@ std::atomic<uint64_t> analysis_runs{0};
 std::atomic<uint64_t> phase_timing_runs{0};
 std::atomic<uint64_t> phase_image_runs{0};
 std::atomic<uint64_t> phase_taint_runs{0};
-
-/** AnalysisFusion::Auto resolution, from the environment once. */
-bool
-fusionDefault()
-{
-    static const bool on = [] {
-        const char *e = std::getenv("CASSANDRA_ANALYSIS_FUSION");
-        if (!e)
-            return true;
-        std::string v(e);
-        for (char &c : v)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        return v != "0" && v != "off" && v != "reference";
-    }();
-    return on;
-}
 
 /** Fused-pass consumer writing chunks into a trace stream file. */
 class StreamWriteConsumer final : public BatchConsumer
@@ -116,14 +98,23 @@ schemePhases(uarch::Scheme scheme)
     return phases;
 }
 
-AnalyzedWorkload::AnalyzedWorkload(Workload workload, KmersParams kmers,
-                                   TraceMode mode,
-                                   uarch::TimingTrace trace,
+AnalyzedWorkload::AnalyzedWorkload(Workload workload,
+                                   std::vector<AnalysisChunk> chunks)
+    : workload_(std::move(workload)), chunks_(std::move(chunks))
+{
+    // Relink against the artifact's own copy of the program: the
+    // inst pointers must point into workload_.program.
+    relinkLoadedChunks(chunks_, workload_.program);
+    for (const AnalysisChunk &chunk : chunks_)
+        numOps_ += chunk.size;
+    traceReady_.store(true, std::memory_order_release);
+}
+
+AnalyzedWorkload::AnalyzedWorkload(Workload workload,
                                    std::string streamPath,
                                    uint64_t numOps)
-    : workload_(std::move(workload)), kmers_(kmers), traceMode_(mode),
-      trace_(std::move(trace)), streamPath_(std::move(streamPath)),
-      numOps_(numOps)
+    : workload_(std::move(workload)), traceMode_(TraceMode::Stream),
+      streamPath_(std::move(streamPath)), numOps_(numOps)
 {
     traceReady_.store(true, std::memory_order_release);
 }
@@ -132,20 +123,8 @@ AnalyzedWorkload::AnalyzedWorkload(Workload workload,
                                    const AnalyzeOptions &options,
                                    std::string streamPath)
     : workload_(std::move(workload)), kmers_(options.kmers),
-      fusion_(options.fusion), traceMode_(options.traceMode),
-      streamPath_(std::move(streamPath))
+      traceMode_(options.traceMode), streamPath_(std::move(streamPath))
 {
-}
-
-bool
-AnalyzedWorkload::fusionEnabled() const
-{
-    switch (fusion_) {
-      case AnalysisFusion::Fused: return true;
-      case AnalysisFusion::Reference: return false;
-      case AnalysisFusion::Auto: break;
-    }
-    return fusionDefault();
 }
 
 AnalyzedWorkload::~AnalyzedWorkload()
@@ -200,32 +179,6 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
         return;
     std::call_once(traceOnce_, [this, extra] {
         phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-        if (!fusionEnabled()) {
-            // Reference passes: count-then-record into the AoS trace
-            // plus SoA mirror (whole), or the scalar sink into the
-            // stream writer. Kept as the oracle the fused path is
-            // byte-compared against.
-            if (traceMode_ == TraceMode::Stream) {
-                TraceStreamWriter writer(
-                    streamPath_, programFingerprint(workload_.program));
-                numOps_ = uarch::recordTrace(
-                    workload_, /*which=*/2,
-                    [&](const uarch::TimingOp &op) {
-                        writer.append(op);
-                    });
-                writer.finish();
-            } else {
-                // Record the AoS trace and its SoA replay mirror in
-                // one pass; every TraceSpanSource then shares the
-                // mirror with no transpose step.
-                numOps_ = uarch::recordTrace(workload_, /*which=*/2,
-                                             trace_, soaMirror_);
-                soaReady_.store(true, std::memory_order_release);
-            }
-            traceReady_.store(true, std::memory_order_release);
-            return;
-        }
-
         // Fused single pass: one machine run records the trace (SoA
         // chunks retained in whole mode, streamed to disk in stream
         // mode) with no counting pre-run, and any fusable pending
@@ -279,12 +232,10 @@ AnalyzedWorkload::analyze(Workload workload, const KmersParams &params)
 
 AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromParts(Workload workload, TraceGenResult traces,
-                            uarch::TimingTrace trace)
+                            std::vector<AnalysisChunk> chunks)
 {
-    const uint64_t ops = trace.size();
-    auto *raw = new AnalyzedWorkload(std::move(workload), {},
-                                     TraceMode::Whole, std::move(trace),
-                                     "", ops);
+    auto *raw = new AnalyzedWorkload(std::move(workload),
+                                     std::move(chunks));
     // The deserialized image is adopted verbatim: the phase is marked
     // done without running (and without counting) Algorithm 2.
     raw->traces_ = std::move(traces);
@@ -293,20 +244,18 @@ AnalyzedWorkload::fromParts(Workload workload, TraceGenResult traces,
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromParts(Workload workload, uarch::TimingTrace trace)
+AnalyzedWorkload::fromParts(Workload workload,
+                            std::vector<AnalysisChunk> chunks)
 {
-    const uint64_t ops = trace.size();
-    return Ptr(new AnalyzedWorkload(std::move(workload), {},
-                                    TraceMode::Whole, std::move(trace),
-                                    "", ops));
+    return Ptr(new AnalyzedWorkload(std::move(workload),
+                                    std::move(chunks)));
 }
 
 AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromStreamParts(Workload workload,
                                   std::string streamPath, uint64_t numOps)
 {
-    return Ptr(new AnalyzedWorkload(std::move(workload), {},
-                                    TraceMode::Stream, {},
+    return Ptr(new AnalyzedWorkload(std::move(workload),
                                     std::move(streamPath), numOps));
 }
 
@@ -314,8 +263,7 @@ AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromStreamParts(Workload workload, TraceGenResult traces,
                                   std::string streamPath, uint64_t numOps)
 {
-    auto *raw = new AnalyzedWorkload(std::move(workload), {},
-                                     TraceMode::Stream, {},
+    auto *raw = new AnalyzedWorkload(std::move(workload),
                                      std::move(streamPath), numOps);
     raw->traces_ = std::move(traces);
     raw->imageReady_.store(true, std::memory_order_release);
@@ -327,8 +275,7 @@ AnalyzedWorkload::traces() const
 {
     if (!imageReady_.load(std::memory_order_acquire)) {
         std::call_once(imageOnce_, [this] {
-            traces_ = generateTraces(workload_, kmers_,
-                                     fusionEnabled());
+            traces_ = generateTraces(workload_, kmers_);
             phase_image_runs.fetch_add(1, std::memory_order_relaxed);
             imageReady_.store(true, std::memory_order_release);
         });
@@ -384,12 +331,7 @@ AnalyzedWorkload::timingTrace() const
             "streamed AnalyzedWorkload holds no in-memory timing "
             "trace; iterate openOpSource() instead");
     ensureTrace();
-    // Fused analyses keep the trace as SoA chunks; the AoS form is
-    // materialized lazily for the few consumers (serialization,
-    // tests) that want TimingOp structs.
     std::call_once(aosOnce_, [this] {
-        if (chunks_.empty())
-            return;
         trace_.reserve(numOps_);
         for (const AnalysisChunk &c : chunks_) {
             for (size_t i = 0; i < c.size; i++) {
@@ -399,7 +341,6 @@ AnalyzedWorkload::timingTrace() const
                 op.nextPc = c.ops.nextPc[i];
                 op.inst = c.ops.inst[i];
                 op.crypto = c.ops.crypto[i] != 0;
-                op.tainted = c.ops.tainted[i] != 0;
                 trace_.push_back(op);
             }
         }
@@ -414,15 +355,7 @@ AnalyzedWorkload::openOpSource() const
     if (streamed())
         return std::make_unique<TraceCursor>(streamPath_,
                                              workload_.program);
-    if (!chunks_.empty())
-        return std::make_unique<ChunkSpanSource>(chunks_);
-    if (!soaReady_.load(std::memory_order_acquire)) {
-        std::call_once(soaOnce_, [this] {
-            uarch::buildOpBatchStorage(trace_, soaMirror_);
-            soaReady_.store(true, std::memory_order_release);
-        });
-    }
-    return std::make_unique<uarch::TraceSpanSource>(trace_, soaMirror_);
+    return std::make_unique<ChunkSpanSource>(chunks_);
 }
 
 bool

@@ -49,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/analysis_pipeline.hh"
 #include "core/sim_config.hh"
@@ -105,21 +106,6 @@ struct AnalysisPhaseRuns
     uint64_t taint = 0;      ///< taint pre-passes over secret workloads
 };
 
-/**
- * Analysis execution scheme. Fused runs every pending phase of one
- * ensurePhases() request in a single batch-pipeline machine pass
- * (core/analysis_pipeline); Reference keeps the serial per-phase
- * passes (scalar probes, count-then-record) that the fused path is
- * byte-compared against. Auto resolves to Fused unless the
- * CASSANDRA_ANALYSIS_FUSION environment variable says 0/off/reference.
- */
-enum class AnalysisFusion
-{
-    Auto,
-    Fused,
-    Reference,
-};
-
 /** Knobs of one analysis (phase eagerness, trace storage). */
 struct AnalyzeOptions
 {
@@ -137,9 +123,6 @@ struct AnalyzeOptions
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
     std::string streamDir;
-    /** Fused single-pass analysis vs. the serial reference passes
-     * (results are byte-identical; this only picks the machinery). */
-    AnalysisFusion fusion = AnalysisFusion::Auto;
 };
 
 /** Immutable analysis artifact: workload + traces, shareable. */
@@ -161,18 +144,21 @@ class AnalyzedWorkload
     static Ptr analyze(Workload workload, const KmersParams &params = {});
 
     /**
-     * Rebuild an artifact from precomputed parts (the deserialization
-     * path, trace image included). The timing trace must already be
-     * relinked against workload.program; the taint pre-pass is
-     * recomputed on demand (it is deterministic). Does not count as an
-     * analysis run.
+     * Rebuild a whole-mode artifact from precomputed parts (the
+     * deserialization path, trace image included). `chunks` hold the
+     * trace's pc/memAddr/nextPc columns as read from disk; they are
+     * relinked against workload.program here, and a pc outside it
+     * throws std::invalid_argument (relinkLoadedChunks). The taint
+     * pre-pass is recomputed on demand (it is deterministic). Does not
+     * count as an analysis run.
      */
     static Ptr fromParts(Workload workload, TraceGenResult traces,
-                         uarch::TimingTrace trace);
+                         std::vector<AnalysisChunk> chunks);
 
     /** fromParts for a snapshot without a trace image: Algorithm 2
      * stays demand-driven on the rebuilt artifact. */
-    static Ptr fromParts(Workload workload, uarch::TimingTrace trace);
+    static Ptr fromParts(Workload workload,
+                         std::vector<AnalysisChunk> chunks);
 
     /**
      * Rebuild a *streamed* artifact around an existing trace stream
@@ -247,16 +233,18 @@ class AnalyzedWorkload
     }
 
     /**
-     * Dynamic instruction stream of the evaluation input.
+     * Dynamic instruction stream of the evaluation input as TimingOp
+     * structs: an AoS copy of the SoA chunks, materialized on first
+     * call for tests and tools (replay never reads it).
      * @throws std::logic_error for streamed artifacts, which hold no
      *         in-memory trace — iterate openOpSource() instead.
      */
     const uarch::TimingTrace &timingTrace() const;
 
     /**
-     * Iterate the timing trace: an in-memory span in whole mode, a
-     * TraceCursor over the stream file in stream mode. Each call
-     * returns an independent forward-only source.
+     * Iterate the timing trace: views into the SoA chunks in whole
+     * mode, a TraceCursor over the stream file in stream mode. Each
+     * call returns an independent forward-only source.
      */
     std::unique_ptr<uarch::TimingOpSource> openOpSource() const;
 
@@ -278,37 +266,33 @@ class AnalyzedWorkload
     static AnalysisPhaseRuns analysisPhaseRuns();
 
   private:
-    AnalyzedWorkload(Workload workload, KmersParams kmers,
-                     TraceMode mode, uarch::TimingTrace trace,
-                     std::string streamPath, uint64_t numOps);
+    /** Loaded whole-mode constructor: relinks `chunks` against the
+     * workload's program (relinkLoadedChunks) and adopts them. */
+    AnalyzedWorkload(Workload workload, std::vector<AnalysisChunk> chunks);
+    /** Loaded stream-mode constructor: adopts an existing stream file. */
+    AnalyzedWorkload(Workload workload, std::string streamPath,
+                     uint64_t numOps);
     /** Deferred-recording constructor: the trace (whole or streamed)
      * is recorded by ensureTrace() on first use. */
     AnalyzedWorkload(Workload workload, const AnalyzeOptions &options,
                      std::string streamPath);
 
     /** Record the timing trace if it has not been recorded yet
-     * (thread-safe, exactly once). Whole mode also materializes the
-     * shared SoA mirror in the same pass. */
+     * (thread-safe, exactly once). */
     void ensureTrace() const;
 
     /**
      * ensureTrace() plus fusion: when the trace has not been recorded
-     * yet and fused analysis is enabled, phases of `extra` that can
-     * ride the recording machine run (the taint walk; the stream
-     * writer rides unconditionally) are computed by the same single
-     * pass instead of a pass each.
+     * yet, phases of `extra` that can ride the recording machine run
+     * (the taint walk; the stream writer rides unconditionally) are
+     * computed by the same single pass instead of a pass each.
      */
     void ensureTraceWith(AnalysisPhaseMask extra) const;
 
-    /** Resolved fusion scheme (options + environment). */
-    bool fusionEnabled() const;
-
     Workload workload_;
     KmersParams kmers_;
-    AnalysisFusion fusion_ = AnalysisFusion::Auto;
     TraceMode traceMode_ = TraceMode::Whole;
-    mutable uarch::TimingTrace trace_; ///< whole mode (empty streamed)
-    std::string streamPath_;           ///< stream mode
+    std::string streamPath_; ///< stream mode
     mutable uint64_t numOps_ = 0;
     mutable std::once_flag traceOnce_;
     mutable std::atomic<bool> traceReady_{false};
@@ -322,20 +306,13 @@ class AnalyzedWorkload
     mutable uarch::TaintBitmap taint_;
     mutable std::atomic<bool> taintReady_{false};
 
-    // Whole mode only: SoA mirror of trace_ shared by every
-    // TraceSpanSource this artifact hands out, so a trace replayed by
-    // many matrix cells is transposed once, not once per run (and not
-    // at all when recording and mirroring fuse in ensureTrace).
-    mutable std::once_flag soaOnce_;
-    mutable uarch::OpBatchStorage soaMirror_;
-    mutable std::atomic<bool> soaReady_{false};
-
-    // Fused whole mode: the retained pipeline chunks ARE the trace
-    // storage (SoA, produced by the single recording pass with no
-    // pre-counting run); every ChunkSpanSource serves views into them.
-    // trace_ stays empty until a caller demands the AoS form.
+    // Whole mode: the SoA chunks ARE the trace storage — retained by
+    // the fused recording pass, or decoded from a snapshot's inline
+    // frames. Every ChunkSpanSource serves views into them; trace_
+    // stays empty until a caller demands the AoS form.
     mutable std::vector<AnalysisChunk> chunks_;
-    mutable std::once_flag aosOnce_; ///< lazy trace_ from chunks_
+    mutable uarch::TimingTrace trace_; ///< lazy AoS copy of chunks_
+    mutable std::once_flag aosOnce_;
 };
 
 /**

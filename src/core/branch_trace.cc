@@ -222,18 +222,6 @@ FoldedTrace::expand() const
 // FoldedTraceCollector
 // ---------------------------------------------------------------------
 
-FoldedTraceCollector::FoldedTraceCollector(sim::Machine &machine,
-                                           bool crypto_only)
-{
-    const ir::Program &prog = machine.program();
-    machine.branchProbe = [this, &prog, crypto_only](
-        uint64_t pc, uint64_t target, const ir::Inst &) {
-        if (crypto_only && !prog.isCryptoPc(pc))
-            return;
-        onBranch(pc, target);
-    };
-}
-
 void
 FoldedTraceCollector::finish()
 {

@@ -188,19 +188,9 @@ class FoldedTrace
 class FoldedTraceCollector
 {
   public:
-    explicit FoldedTraceCollector(sim::Machine &machine,
-                                  bool crypto_only = true);
-
-    /**
-     * Detached collector: nothing is probed automatically; the caller
-     * feeds pre-filtered branch outcomes through onBranch(). This is
-     * the fused pipeline's entry point — batch consumers replay the
-     * exact append sequence the machine-probe constructor produces.
-     */
-    FoldedTraceCollector() = default;
-
-    /** Record one dynamic branch outcome (identical bookkeeping to
-     * the machine-probe path; the caller applies any crypto filter). */
+    /** Record one dynamic branch outcome. Nothing is probed
+     * automatically: the caller (runFusedBranchPass) feeds outcomes in
+     * execution order and applies any crypto filter. */
     void
     onBranch(uint64_t pc, uint64_t target)
     {

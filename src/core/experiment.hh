@@ -118,9 +118,9 @@ struct RunTelemetry
      * (RunnerOptions::cacheGcMb). */
     uint64_t cacheGcEvictions = 0;
 
-    /** Fused analysis passes executed during this dispatch (batched
-     * single-pass Machine runs; 0 when CASSANDRA_ANALYSIS_FUSION
-     * selects the per-phase reference path). */
+    /** Analysis machine passes executed during this dispatch: one
+     * fused op pass per recorded trace (taint and stream writing ride
+     * it) plus two branch passes per Algorithm 2 run. */
     uint64_t analysisFusedPasses = 0;
     /** Stream-replay frames served by the TraceCursor decode-ahead
      * worker during this dispatch, and how many of those the replay

@@ -454,69 +454,75 @@ opToBytes(const uarch::TimingOp &op, uint8_t *out)
 
 /**
  * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
- * codec frames) back into an in-memory trace. The reader's backing
- * bytes are contiguous, so each frame decodes in place.
+ * codec frames) into whole-mode trace chunks: each frame decodes in
+ * place (the reader's backing bytes are contiguous) straight into its
+ * chunk's pc/memAddr/nextPc columns. The inst and crypto columns are
+ * filled by the validated relink in AnalyzedWorkload::fromParts.
  */
-uarch::TimingTrace
+std::vector<AnalysisChunk>
 readFramedOps(ByteReader &r, uint64_t num_ops)
 {
     const uint32_t frame_ops = r.u32();
-    if (num_ops > 0 && frame_ops == 0)
+    if (num_ops == 0)
+        return {};
+    if (frame_ops == 0)
         throw std::invalid_argument(
             "AnalyzedWorkload snapshot has a zero frame size");
-    // Bound the declared count before reserving: even the tightest
+    // Bound the declared count before allocating: even the tightest
     // delta encoding spends >= 3 bytes per op (three varints), so a
     // garbage num_ops in a corrupt file must fail as truncated, not
     // as a multi-GB allocation.
     if (num_ops > r.remaining() / 3)
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
-    uarch::TimingTrace trace;
-    trace.reserve(num_ops);
-    std::vector<uint64_t> pc, mem, next;
+    // Whole frames pack into chunks of about traceStreamDefaultFrameOps
+    // ops, so a hostile tiny frame size cannot multiply the per-chunk
+    // overhead.
+    const uint64_t chunk_ops = uint64_t(frame_ops) *
+        std::max<uint32_t>(1, traceStreamDefaultFrameOps / frame_ops);
+    std::vector<AnalysisChunk> chunks;
     uint64_t done = 0;
     while (done < num_ops) {
-        const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(frame_ops, num_ops - done));
-        // Frame header: u8 kind | u32 payloadBytes; the payload
-        // follows contiguously, so `frame` spans the whole frame.
-        const uint8_t *frame = r.raw(5);
-        const uint32_t payload = static_cast<uint32_t>(frame[1]) |
-            static_cast<uint32_t>(frame[2]) << 8 |
-            static_cast<uint32_t>(frame[3]) << 16 |
-            static_cast<uint32_t>(frame[4]) << 24;
-        r.raw(payload);
-        pc.resize(n);
-        mem.resize(n);
-        next.resize(n);
-        decodeTraceFrameSoA(frame, 5 + payload, n, pc.data(), mem.data(),
-                            next.data());
-        for (size_t i = 0; i < n; i++) {
-            uarch::TimingOp op;
-            op.pc = pc[i];
-            op.memAddr = mem[i];
-            op.nextPc = next[i];
-            trace.push_back(op);
+        const size_t size = static_cast<size_t>(
+            std::min<uint64_t>(chunk_ops, num_ops - done));
+        AnalysisChunk &chunk = chunks.emplace_back();
+        chunk.ops.resize(size);
+        chunk.size = size;
+        chunk.baseIndex = done;
+        for (size_t at = 0; at < size;) {
+            const size_t n = std::min<size_t>(frame_ops, size - at);
+            // Frame header: u8 kind | u32 payloadBytes; the payload
+            // follows contiguously, so `frame` spans the whole frame.
+            const uint8_t *frame = r.raw(5);
+            const uint32_t payload = static_cast<uint32_t>(frame[1]) |
+                static_cast<uint32_t>(frame[2]) << 8 |
+                static_cast<uint32_t>(frame[3]) << 16 |
+                static_cast<uint32_t>(frame[4]) << 24;
+            r.raw(payload);
+            decodeTraceFrameSoA(frame, 5 + payload, n,
+                                chunk.ops.pc.data() + at,
+                                chunk.ops.memAddr.data() + at,
+                                chunk.ops.nextPc.data() + at);
+            at += n;
         }
-        done += n;
+        done += size;
     }
     inline_ops_read.fetch_add(num_ops, std::memory_order_relaxed);
-    return trace;
+    return chunks;
 }
 
 /** Assemble the artifact once the trace storage has been recovered. */
 AnalyzedWorkload::Ptr
-assembleWhole(SnapshotMeta meta, uarch::TimingTrace trace)
+assembleWhole(SnapshotMeta meta, std::vector<AnalysisChunk> chunks)
 {
-    uarch::relinkTimingTrace(trace, meta.workload.program);
     if (meta.hasImage)
         return AnalyzedWorkload::fromParts(std::move(meta.workload),
                                            std::move(meta.tg),
-                                           std::move(trace));
+                                           std::move(chunks));
     // No image section: Algorithm 2 stays demand-driven on the
     // rebuilt artifact, exactly like on a freshly analyzed one.
     return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                       std::move(trace));
+                                       std::move(chunks));
 }
 
 /**
@@ -756,11 +762,11 @@ unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
 
     const uint8_t storage = r.u8();
     if (storage == traceStorageInline) {
-        uarch::TimingTrace trace = readFramedOps(r, r.u64());
+        std::vector<AnalysisChunk> chunks = readFramedOps(r, r.u64());
         if (!r.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
-        return assembleWhole(std::move(meta), std::move(trace));
+        return assembleWhole(std::move(meta), std::move(chunks));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(
@@ -860,7 +866,7 @@ loadAnalyzedWorkload(const std::string &path,
     if (storage == traceStorageInline) {
         // Frame-coded inline ops: the section is a few bytes per op,
         // so slurping the remainder keeps this path simple (a
-        // whole-mode artifact materializes the trace anyway).
+        // whole-mode artifact holds the decoded trace anyway).
         std::vector<uint8_t> section(
             static_cast<size_t>(file_len - consumed));
         if (!section.empty() &&
@@ -869,11 +875,11 @@ loadAnalyzedWorkload(const std::string &path,
             throw std::invalid_argument(
                 "truncated AnalyzedWorkload snapshot");
         ByteReader sr(section);
-        uarch::TimingTrace trace = readFramedOps(sr, num_ops);
+        std::vector<AnalysisChunk> chunks = readFramedOps(sr, num_ops);
         if (!sr.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
-        return assembleWhole(std::move(meta), std::move(trace));
+        return assembleWhole(std::move(meta), std::move(chunks));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(

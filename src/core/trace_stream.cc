@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <cinttypes>
 #include <condition_variable>
@@ -386,8 +385,9 @@ TraceStreamWriter::finish()
 // ---------------------------------------------------------------------
 
 TraceCursor::TraceCursor(const std::string &path,
-                         const ir::Program &program, Backing backing)
-    : program_(program), path_(path)
+                         const ir::Program &program, Backing backing,
+                         DecodeAhead decodeAhead)
+    : program_(program), path_(path), decodeAhead_(decodeAhead)
 {
     file_.open(path, std::ios::binary);
     if (!file_)
@@ -591,7 +591,6 @@ TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out,
         const size_t idx = static_cast<size_t>(off / ir::instBytes);
         out.inst[i] = insts + idx;
         out.crypto[i] = cryptoByIndex_[idx];
-        out.tainted[i] = 0;
     }
 }
 
@@ -608,23 +607,6 @@ namespace {
 
 std::atomic<uint64_t> prefetch_batches{0};
 std::atomic<uint64_t> prefetch_stalls{0};
-
-/** CASSANDRA_STREAM_PREFETCH resolution. Read per cursor (not cached
- * in a static) so tests can flip it between cursors. */
-bool
-prefetchWanted()
-{
-    const char *e = std::getenv("CASSANDRA_STREAM_PREFETCH");
-    std::string v = e ? e : "auto";
-    for (char &c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "0" || v == "off")
-        return false;
-    if (v == "1" || v == "on")
-        return true;
-    return std::thread::hardware_concurrency() >= 2;
-}
 
 } // namespace
 
@@ -764,10 +746,14 @@ TraceCursor::maybeStartPrefetch()
     if (prefetchChecked_)
         return;
     prefetchChecked_ = true;
-    // One frame of look-ahead needs a second frame to exist; a worker
-    // that cannot start (thread/file limits) just leaves the cursor
-    // on the synchronous path.
-    if (numFrames_ < 2 || !prefetchWanted())
+    // One frame of look-ahead needs a second frame to exist, and a
+    // worker only pays off with a second hardware thread to run on. A
+    // worker that cannot start (thread/file limits) just leaves the
+    // cursor on the synchronous path.
+    const bool wanted = decodeAhead_ == DecodeAhead::On ||
+        (decodeAhead_ == DecodeAhead::Auto &&
+         std::thread::hardware_concurrency() >= 2);
+    if (numFrames_ < 2 || !wanted)
         return;
     try {
         prefetch_ = std::make_unique<Prefetch>(*this, path_);
@@ -843,7 +829,6 @@ TraceCursor::next()
     op_.nextPc = soa_.nextPc[i];
     op_.inst = soa_.inst[i];
     op_.crypto = soa_.crypto[i] != 0;
-    op_.tainted = false;
     pos_++;
     return &op_;
 }

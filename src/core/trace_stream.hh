@@ -186,8 +186,17 @@ class TraceCursor final : public uarch::TimingOpSource
         Buffered, ///< one-frame read buffer
     };
 
+    /** Decode-ahead policy (see nextBatch). */
+    enum class DecodeAhead
+    {
+        Auto, ///< on when the host has >= 2 hardware threads
+        On,   ///< always (tests force the threaded path with this)
+        Off,  ///< never: every frame decodes synchronously
+    };
+
     TraceCursor(const std::string &path, const ir::Program &program,
-                Backing backing = Backing::Auto);
+                Backing backing = Backing::Auto,
+                DecodeAhead decodeAhead = DecodeAhead::Auto);
     ~TraceCursor() override;
 
     TraceCursor(const TraceCursor &) = delete;
@@ -210,11 +219,10 @@ class TraceCursor final : public uarch::TimingOpSource
      * frame boundary becomes a buffer swap instead of a synchronous
      * decode. The served values are byte-identical to the synchronous
      * path — the worker runs the same decodeFrame — and frames are
-     * consumed strictly in order either way. Controlled by the
-     * CASSANDRA_STREAM_PREFETCH environment variable: "on"/"1" forces
-     * it, "off"/"0" disables it, unset/"auto" enables it on hosts with
-     * >= 2 hardware threads. Observable through prefetchBatches() /
-     * prefetchStalls().
+     * consumed strictly in order either way. The worker starts only
+     * for streams of >= 2 frames, and under DecodeAhead::Auto (the
+     * default) only on hosts with >= 2 hardware threads. Observable
+     * through prefetching(), prefetchBatches() and prefetchStalls().
      */
     size_t nextBatch(uarch::OpBatch &out, size_t max_ops) override;
 
@@ -274,6 +282,7 @@ class TraceCursor final : public uarch::TimingOpSource
     std::vector<uint8_t> cryptoByIndex_; ///< crypto flag per static inst
 
     // decode-ahead worker (lazily started by the first frame)
+    DecodeAhead decodeAhead_;
     std::unique_ptr<Prefetch> prefetch_;
     bool prefetchChecked_ = false;
 

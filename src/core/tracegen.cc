@@ -27,47 +27,6 @@ secondsSince(Clock::time_point start)
  */
 constexpr uint64_t kPeriodEncodeElems = uint64_t(1) << 20;
 
-/** One instrumented run accumulating folded traces (steps A-C). */
-struct FoldedRun
-{
-    std::map<uint64_t, FoldedTrace> traces;
-    uint64_t heldBytes = 0;
-    uint64_t peakBytes = 0;
-};
-
-FoldedRun
-collectRun(const Workload &w, int which)
-{
-    sim::Machine machine(w.program);
-    FoldedTraceCollector collector(machine, /*crypto_only=*/true);
-    if (w.setInput)
-        w.setInput(machine, which);
-    auto res = machine.run(w.maxDynInsts);
-    if (!res.halted)
-        throw InstructionBudgetError(w.name, res.instCount,
-                                     "Algorithm 2 analysis run");
-    collector.finish();
-    FoldedRun out;
-    out.heldBytes = collector.heldBytes();
-    out.peakBytes = collector.peakHeldBytes();
-    out.traces = collector.take();
-    return out;
-}
-
-/** collectRun through the fused batch pipeline: same accumulators,
- * same crypto filter, batched probe instead of per-branch callback. */
-FoldedRun
-collectRunFused(const Workload &w, int which)
-{
-    FusedBranchRun run =
-        runFusedBranchPass(w, which, /*crypto_only=*/true);
-    FoldedRun out;
-    out.heldBytes = run.heldBytes;
-    out.peakBytes = run.peakBytes;
-    out.traces = std::move(run.traces);
-    return out;
-}
-
 } // namespace
 
 std::vector<const BranchRecord *>
@@ -82,8 +41,7 @@ TraceGenResult::multiTarget() const
 }
 
 TraceGenResult
-generateTraces(const Workload &workload, const KmersParams &params,
-               bool fused)
+generateTraces(const Workload &workload, const KmersParams &params)
 {
     TraceGenResult out;
     out.image.cryptoRanges = workload.program.cryptoRanges;
@@ -92,15 +50,12 @@ generateTraces(const Workload &workload, const KmersParams &params,
     // run-length-encodes every static branch's trace online (the
     // folded accumulators never hold the raw target stream), so
     // analysis memory is O(static branches + folded RLE size) no
-    // matter how many dynamic instructions the run executes. Both
-    // collectors feed one FoldedTrace::append sequence; run1's
-    // accumulators stay resident while run2 executes in either mode,
-    // preserving the peakAccumBytes accounting below.
+    // matter how many dynamic instructions the run executes.
     auto t0 = Clock::now();
-    FoldedRun run1 =
-        fused ? collectRunFused(workload, 0) : collectRun(workload, 0);
-    FoldedRun run2 =
-        fused ? collectRunFused(workload, 1) : collectRun(workload, 1);
+    FusedBranchRun run1 =
+        runFusedBranchPass(workload, 0, /*crypto_only=*/true);
+    FusedBranchRun run2 =
+        runFusedBranchPass(workload, 1, /*crypto_only=*/true);
     out.timings.rawSec = secondsSince(t0);
 
     // run1's accumulators stay resident while run2 executes, so the

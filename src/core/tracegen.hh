@@ -81,17 +81,12 @@ struct TraceGenResult
 };
 
 /**
- * Run Algorithm 2. With `fused` the two instrumented collection runs
- * (steps A-C) stream through the batch pipeline's branch probe
- * (runFusedBranchPass) instead of the per-branch std::function probe;
- * the accumulators, the diff, and every downstream step are shared, so
- * the result — image bytes, records, peakAccumBytes — is identical.
- * The default stays on the probe-driven reference path (the parity
- * oracle).
+ * Run Algorithm 2. The two instrumented collection runs (steps A-C,
+ * one per analysis input) stream through the batch pipeline's branch
+ * probe (runFusedBranchPass); steps D-F run on the folded traces.
  */
 TraceGenResult generateTraces(const Workload &workload,
-                              const KmersParams &params = {},
-                              bool fused = false);
+                              const KmersParams &params = {});
 
 } // namespace cassandra::core
 

@@ -83,37 +83,15 @@ TimingOpSource::nextBatch(OpBatch &out, size_t max_ops)
         s.nextPc[n] = op->nextPc;
         s.inst[n] = op->inst;
         s.crypto[n] = op->crypto ? 1 : 0;
-        s.tainted[n] = op->tainted ? 1 : 0;
     }
     out = s.view(0, n);
     return n;
-}
-
-void
-buildOpBatchStorage(const TimingTrace &trace, OpBatchStorage &out)
-{
-    const size_t n = trace.size();
-    out.resize(n);
-    for (size_t i = 0; i < n; i++) {
-        const TimingOp &op = trace[i];
-        out.pc[i] = op.pc;
-        out.memAddr[i] = op.memAddr;
-        out.nextPc[i] = op.nextPc;
-        out.inst[i] = op.inst;
-        out.crypto[i] = op.crypto ? 1 : 0;
-        out.tainted[i] = op.tainted ? 1 : 0;
-    }
 }
 
 size_t
 TraceSpanSource::nextBatch(OpBatch &out, size_t max_ops)
 {
     const size_t n = std::min(max_ops, trace_.size() - pos_);
-    if (shared_) {
-        out = shared_->view(pos_, n);
-        pos_ += n;
-        return n;
-    }
     soa_.resize(n);
     for (size_t i = 0; i < n; i++) {
         const TimingOp &op = trace_[pos_ + i];
@@ -122,37 +100,16 @@ TraceSpanSource::nextBatch(OpBatch &out, size_t max_ops)
         soa_.nextPc[i] = op.nextPc;
         soa_.inst[i] = op.inst;
         soa_.crypto[i] = op.crypto ? 1 : 0;
-        soa_.tainted[i] = op.tainted ? 1 : 0;
     }
     pos_ += n;
     out = soa_.view(0, n);
     return n;
 }
 
-namespace {
-
-/** Op count of the evaluation trace: one functional replay, no probe. */
-uint64_t
-countTraceOps(const core::Workload &workload, int which)
+TimingTrace
+recordTrace(const core::Workload &workload, int which)
 {
-    sim::Machine machine(workload.program);
-    if (workload.setInput)
-        workload.setInput(machine, which);
-    auto res = machine.run(workload.maxDynInsts);
-    if (!res.halted) {
-        throw core::InstructionBudgetError(workload.name, res.instCount,
-                                           "timing trace");
-    }
-    return res.instCount;
-}
-
-} // namespace
-
-uint64_t
-recordTrace(const core::Workload &workload, int which,
-            const std::function<void(const TimingOp &)> &sink)
-{
-    uint64_t ops = 0;
+    TimingTrace trace;
     sim::Machine machine(workload.program);
     if (workload.setInput)
         workload.setInput(machine, which);
@@ -164,66 +121,14 @@ recordTrace(const core::Workload &workload, int which,
         op.nextPc = d.nextPc;
         op.inst = &prog.at(d.pc);
         op.crypto = prog.isCryptoPc(d.pc);
-        sink(op);
-        ops++;
+        trace.push_back(op);
     };
     auto res = machine.run(workload.maxDynInsts);
     if (!res.halted) {
         throw core::InstructionBudgetError(workload.name, res.instCount,
                                            "timing trace");
     }
-    return ops;
-}
-
-TimingTrace
-recordTrace(const core::Workload &workload, int which)
-{
-    // Count-first: one throwaway functional replay is far cheaper than
-    // repeatedly growing and copying a multi-megabyte TimingOp vector,
-    // and it makes the recording pass a single exact allocation.
-    TimingTrace trace;
-    trace.reserve(countTraceOps(workload, which));
-    recordTrace(workload, which,
-                [&](const TimingOp &op) { trace.push_back(op); });
     return trace;
-}
-
-uint64_t
-recordTrace(const core::Workload &workload, int which, TimingTrace &trace,
-            OpBatchStorage &mirror)
-{
-    const uint64_t total = countTraceOps(workload, which);
-    trace.clear();
-    trace.reserve(total);
-    mirror.resize(total);
-    size_t i = 0;
-    const uint64_t ops = recordTrace(
-        workload, which, [&](const TimingOp &op) {
-            trace.push_back(op);
-            if (i == mirror.pc.size())
-                mirror.resize(i + 1);
-            mirror.pc[i] = op.pc;
-            mirror.memAddr[i] = op.memAddr;
-            mirror.nextPc[i] = op.nextPc;
-            mirror.inst[i] = op.inst;
-            mirror.crypto[i] = op.crypto ? 1 : 0;
-            mirror.tainted[i] = op.tainted ? 1 : 0;
-            i++;
-        });
-    mirror.resize(i); // instCount can overshoot the probe by the halt
-    return ops;
-}
-
-void
-relinkTimingTrace(TimingTrace &trace, const ir::Program &program)
-{
-    for (TimingOp &op : trace) {
-        if (!program.validPc(op.pc))
-            throw std::invalid_argument(
-                "relinkTimingTrace: trace pc outside program");
-        op.inst = &program.at(op.pc);
-        op.crypto = program.isCryptoPc(op.pc);
-    }
 }
 
 bool
@@ -479,7 +384,7 @@ OooCore::run(TimingOpSource &src, const TaintBitmap *taint)
 
     // Per-op loop invariants, hoisted into locals: params_ fields are
     // otherwise reloaded through `this` after every opaque store, and
-    // the taint column only matters to the ProSpeCT schemes.
+    // the taint bitmap only matters to the ProSpeCT schemes.
     const uint32_t fetch_width = params_.fetchWidth;
     const uint32_t frontend_depth = params_.frontendDepth;
     const uint32_t l1i_latency = params_.l1i.latency;
@@ -733,8 +638,8 @@ OooCore::run(TimingOpSource &src, const TaintBitmap *taint)
                 stats.schemeLoadDelays++;
             ready = lb;
         }
-        const bool op_tainted = prospect_scheme &&
-            (taint ? taint->test(i) : batch.tainted[b] != 0);
+        const bool op_tainted = prospect_scheme && taint &&
+            taint->test(i);
         if (op_tainted) {
             uint64_t barrier = scheme_ == Scheme::Prospect
                 ? last_branch_resolve

@@ -62,22 +62,22 @@ struct TimingOp
     uint64_t nextPc = 0;
     const ir::Inst *inst = nullptr;
     bool crypto = false;
-    bool tainted = false; ///< ProSpeCT: a source operand holds a secret
 };
 
 using TimingTrace = std::vector<TimingOp>;
 
 /**
  * Ops per nextBatch() request on the replay hot path: 4K ops keep the
- * six parallel arrays (~100 KiB live) L2-resident while amortizing the
+ * five parallel arrays (~100 KiB live) L2-resident while amortizing the
  * per-batch virtual dispatch to nothing.
  */
 inline constexpr size_t timingOpBatchOps = 4096;
 
 /**
  * A structure-of-arrays view of a run of consecutive timing ops:
- * parallel `pc`/`memAddr`/`nextPc`/`inst`/flag arrays of `size`
- * elements. The arrays are owned by the producing TimingOpSource and
+ * parallel `pc`/`memAddr`/`nextPc`/`inst`/`crypto` arrays of `size`
+ * elements. ProSpeCT taint is not a column: it travels beside the
+ * stream as a TaintBitmap. The arrays are owned by the producing TimingOpSource and
  * stay valid until its next nextBatch()/next() call.
  */
 struct OpBatch
@@ -86,8 +86,7 @@ struct OpBatch
     const uint64_t *memAddr = nullptr;
     const uint64_t *nextPc = nullptr;
     const ir::Inst *const *inst = nullptr;
-    const uint8_t *crypto = nullptr;  ///< 0/1 per op
-    const uint8_t *tainted = nullptr; ///< 0/1 per op (ProSpeCT)
+    const uint8_t *crypto = nullptr; ///< 0/1 per op
     size_t size = 0;
 };
 
@@ -99,7 +98,6 @@ struct OpBatchStorage
     std::vector<uint64_t> nextPc;
     std::vector<const ir::Inst *> inst;
     std::vector<uint8_t> crypto;
-    std::vector<uint8_t> tainted;
 
     void
     resize(size_t n)
@@ -109,7 +107,6 @@ struct OpBatchStorage
         nextPc.resize(n);
         inst.resize(n);
         crypto.resize(n);
-        tainted.resize(n);
     }
 
     /** View of elements [offset, offset + n). */
@@ -122,7 +119,6 @@ struct OpBatchStorage
         b.nextPc = nextPc.data() + offset;
         b.inst = inst.data() + offset;
         b.crypto = crypto.data() + offset;
-        b.tainted = tainted.data() + offset;
         b.size = n;
         return b;
     }
@@ -163,26 +159,13 @@ class TimingOpSource
     std::unique_ptr<OpBatchStorage> fallback_;
 };
 
-/** Transpose a whole in-memory trace into SoA columns (resizes `out`).
- * Produces exactly the columns TraceSpanSource::nextBatch would. */
-void buildOpBatchStorage(const TimingTrace &trace, OpBatchStorage &out);
-
-/** TimingOpSource over an in-memory trace. */
+/** TimingOpSource over an in-memory AoS trace (tests, benches and
+ * tools replaying a recordTrace result; analysis artifacts replay
+ * their SoA chunks through core::ChunkSpanSource). */
 class TraceSpanSource final : public TimingOpSource
 {
   public:
     explicit TraceSpanSource(const TimingTrace &trace) : trace_(trace) {}
-
-    /**
-     * Shares a prebuilt whole-trace SoA mirror (buildOpBatchStorage of
-     * the same trace, which must outlive the source): nextBatch serves
-     * zero-copy views into it instead of transposing per batch, so a
-     * trace replayed by many cells is transposed once, not per run.
-     */
-    TraceSpanSource(const TimingTrace &trace, const OpBatchStorage &soa)
-        : trace_(trace), shared_(&soa)
-    {
-    }
 
     const TimingOp *
     next() override
@@ -190,13 +173,11 @@ class TraceSpanSource final : public TimingOpSource
         return pos_ < trace_.size() ? &trace_[pos_++] : nullptr;
     }
 
-    /** Native batch path: shared-mirror views, or one AoS -> SoA
-     * transpose per batch without a mirror. */
+    /** Native batch path: one AoS -> SoA transpose per batch. */
     size_t nextBatch(OpBatch &out, size_t max_ops) override;
 
   private:
     const TimingTrace &trace_;
-    const OpBatchStorage *shared_ = nullptr;
     size_t pos_ = 0;
     OpBatchStorage soa_;
 };
@@ -282,26 +263,12 @@ class TaintWalker
 
 /**
  * Record the dynamic instruction stream of a workload run (evaluation
- * input by default).
+ * input by default) through the machine's per-op probe. Analysis
+ * records through the fused batch pass (core/analysis_pipeline); this
+ * scalar probe is the independent reference that tests, benches and
+ * tools compare against.
  */
 TimingTrace recordTrace(const core::Workload &workload, int which = 2);
-
-/**
- * Streaming form: feed every op to `sink` instead of materializing a
- * vector (the op's inst pointer is valid during the callback). Returns
- * the number of ops recorded. This is the memory-lean producer behind
- * TraceMode::Stream.
- */
-/**
- * Record the evaluation trace into `trace` AND its SoA replay mirror
- * in one pass (count-first: a throwaway functional replay sizes both
- * exactly, so neither ever reallocates). Returns the op count.
- */
-uint64_t recordTrace(const core::Workload &workload, int which,
-                     TimingTrace &trace, OpBatchStorage &mirror);
-
-uint64_t recordTrace(const core::Workload &workload, int which,
-                     const std::function<void(const TimingOp &)> &sink);
 
 /**
  * ProSpeCT taint pre-pass: one streaming pass over `src` producing
@@ -315,14 +282,6 @@ TaintBitmap
 computeTaintBitmap(TimingOpSource &src,
                    const std::vector<core::SecretRegion> &regions,
                    size_t num_ops);
-
-/**
- * Re-attach a deserialized timing trace to its program: resolves each
- * op's instruction pointer and crypto flag from its PC. Throws
- * std::invalid_argument when a PC falls outside the program (stale
- * artifact against a changed binary).
- */
-void relinkTimingTrace(TimingTrace &trace, const ir::Program &program);
 
 /** Aggregate timing statistics of one run. */
 struct CoreStats
@@ -375,9 +334,9 @@ class OooCore
             const core::TraceImage *image = nullptr);
 
     /**
-     * Run the timing model over an op stream. When `taint` is given it
-     * supplies the ProSpeCT per-op taint flags (bit i for op i);
-     * otherwise each op's own `tainted` flag is used.
+     * Run the timing model over an op stream. `taint` supplies the
+     * ProSpeCT per-op taint flags (bit i for op i); without it no op
+     * is tainted.
      */
     CoreStats run(TimingOpSource &src, const TaintBitmap *taint = nullptr);
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tests/branch_probe.hh"
 #include "core/branch_trace.hh"
 #include "core/tracegen.hh"
 #include "crypto/workload_registry.hh"
@@ -140,8 +141,9 @@ TEST_P(FoldedParityTest, CollectorMatchesReferenceRle)
         ASSERT_TRUE(ref_machine.run(w.maxDynInsts).halted);
 
         sim::Machine folded_machine(w.program);
-        FoldedTraceCollector collector(folded_machine,
-                                       /*crypto_only=*/true);
+        FoldedTraceCollector collector;
+        test::attachBranchProbe(folded_machine, collector,
+                                /*crypto_only=*/true);
         if (w.setInput)
             w.setInput(folded_machine, which);
         ASSERT_TRUE(folded_machine.run(w.maxDynInsts).halted);

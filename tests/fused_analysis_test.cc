@@ -2,24 +2,28 @@
  * @file
  * Fused single-pass analysis pipeline parity suite.
  *
- * The fused pipeline (core/analysis_pipeline) replaces the serial
- * per-phase reference passes; the reference stays in-tree as the
- * oracle. Everything here is exact comparison: op columns, folded
- * Algorithm 2 traces, packed image bytes, taint bits, stream file
- * bytes and replayed batches must match the reference op for op —
- * across chunk sizes (including 1), ring sizes (including 1), Inline
- * and forced-Threaded mode, and with the TraceCursor decode-ahead
- * prefetcher forced on and off. Plus the TraceStreamWriter durability
- * seam: a crash after the data fsync but before the index/footer must
- * leave a file that fails loudly at open, never a footer-valid-but-
- * truncated stream.
+ * The fused pipeline (core/analysis_pipeline) is the library's only
+ * analysis path. Its oracles live here, built from independent
+ * per-op machinery:
+ *  - op columns and simulated cycles against the scalar
+ *    uarch::recordTrace probe;
+ *  - taint bits against computeTaintBitmap over that trace;
+ *  - stream file bytes against TraceStreamWriter::append op by op;
+ *  - Algorithm 2's folded traces against a per-branch machine probe
+ *    (tests/branch_probe.hh), per static branch. Steps D-F are shared
+ *    code, so equal folded traces imply an equal image.
+ * Everything is exact comparison, across chunk sizes (including 1),
+ * ring sizes (including 1), Inline and forced-Threaded mode, and with
+ * the TraceCursor decode-ahead prefetcher forced on and off. Plus the
+ * TraceStreamWriter durability seam: a crash after the data fsync but
+ * before the index/footer must leave a file that fails loudly at open,
+ * never a footer-valid-but-truncated stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -30,20 +34,23 @@
 #include "core/trace_stream.hh"
 #include "core/tracegen.hh"
 #include "crypto/workload_registry.hh"
+#include "sim/machine.hh"
+#include "tests/branch_probe.hh"
 
 namespace {
 
 using namespace cassandra;
 using core::AnalysisChunk;
-using core::AnalysisFusion;
 using core::AnalysisPipelineOptions;
 using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::BatchConsumer;
 using core::ChunkSpanSource;
+using core::FoldedTrace;
 using core::TraceCursor;
 using core::TraceMode;
 using core::TraceStreamWriter;
+using DecodeAhead = core::TraceCursor::DecodeAhead;
 using Mode = core::AnalysisPipelineOptions::Mode;
 
 core::Workload
@@ -70,38 +77,6 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** RAII environment override (POSIX setenv; tests are unix-only like
- * the mmap cursor backing). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
-
 /** Consumer that materializes every chunk back into TimingOps. */
 class CollectConsumer final : public BatchConsumer
 {
@@ -117,7 +92,6 @@ class CollectConsumer final : public BatchConsumer
             op.nextPc = chunk.ops.nextPc[i];
             op.inst = chunk.ops.inst[i];
             op.crypto = chunk.ops.crypto[i] != 0;
-            op.tainted = chunk.ops.tainted[i] != 0;
             ops.push_back(op);
         }
     }
@@ -144,7 +118,6 @@ expectSameOps(const uarch::TimingTrace &got,
         ASSERT_EQ(got[i].nextPc, want[i].nextPc) << "op " << i;
         ASSERT_EQ(got[i].inst, want[i].inst) << "op " << i;
         ASSERT_EQ(got[i].crypto, want[i].crypto) << "op " << i;
-        ASSERT_FALSE(got[i].tainted) << "op " << i;
     }
 }
 
@@ -168,45 +141,6 @@ expectSameOpsIndexed(const uarch::TimingTrace &got,
                   want[i].inst - wantProgram.insts.data())
             << "op " << i;
         ASSERT_EQ(got[i].crypto, want[i].crypto) << "op " << i;
-    }
-}
-
-/** Exact (packed-bytes) equality of two Algorithm 2 results. */
-void
-expectSameTraceGen(const core::TraceGenResult &a,
-                   const core::TraceGenResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.peakAccumBytes, b.peakAccumBytes);
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (size_t i = 0; i < a.records.size(); i++) {
-        const auto &ra = a.records[i], &rb = b.records[i];
-        ASSERT_EQ(ra.pc, rb.pc);
-        EXPECT_EQ(ra.singleTarget, rb.singleTarget) << std::hex << ra.pc;
-        EXPECT_EQ(ra.inputDependent, rb.inputDependent)
-            << std::hex << ra.pc;
-        EXPECT_EQ(ra.rejection, rb.rejection) << std::hex << ra.pc;
-        EXPECT_EQ(ra.vanillaSize, rb.vanillaSize) << std::hex << ra.pc;
-        EXPECT_EQ(ra.kmersSize, rb.kmersSize) << std::hex << ra.pc;
-    }
-    ASSERT_EQ(a.image.numBranches(), b.image.numBranches());
-    EXPECT_EQ(a.image.traceBytes(), b.image.traceBytes());
-    for (const auto &rec : a.records) {
-        const core::HintInfo *ha = a.image.hint(rec.pc);
-        const core::HintInfo *hb = b.image.hint(rec.pc);
-        ASSERT_EQ(ha != nullptr, hb != nullptr) << std::hex << rec.pc;
-        if (ha) {
-            EXPECT_EQ(core::packHint(*ha, rec.pc),
-                      core::packHint(*hb, rec.pc))
-                << std::hex << rec.pc;
-        }
-    }
-    ASSERT_EQ(a.image.traces().size(), b.image.traces().size());
-    for (const auto &[pc, trace] : a.image.traces()) {
-        const core::BranchTrace *other = b.image.trace(pc);
-        ASSERT_NE(other, nullptr) << std::hex << pc;
-        EXPECT_EQ(core::packTrace(trace), core::packTrace(*other))
-            << std::hex << pc;
     }
 }
 
@@ -298,18 +232,50 @@ TEST(FusedOpPass, RetainedChunksReplayIdentically)
 }
 
 // ---------------------------------------------------------------------
-// Fused Algorithm 2 (branch pass) vs reference collectRun
+// Fused Algorithm 2 (branch pass) vs a per-branch machine probe
 // ---------------------------------------------------------------------
 
-TEST(FusedBranchPass, GenerateTracesParity)
+/** Steps A-C on one input through the scalar branchProbe. */
+core::FoldedTraceCollector
+probeCollect(const core::Workload &w, int which)
+{
+    core::FoldedTraceCollector collector;
+    sim::Machine machine(w.program);
+    test::attachBranchProbe(machine, collector, /*crypto_only=*/true);
+    if (w.setInput)
+        w.setInput(machine, which);
+    EXPECT_TRUE(machine.run(w.maxDynInsts).halted);
+    collector.finish();
+    return collector;
+}
+
+TEST(FusedBranchPass, FoldedTracesMatchMachineProbe)
 {
     for (const char *name : {"synthetic/chacha20/75", "DES_ct"}) {
         const core::Workload w = workload(name);
-        const core::TraceGenResult ref =
-            core::generateTraces(w, {}, /*fused=*/false);
-        const core::TraceGenResult fused =
-            core::generateTraces(w, {}, /*fused=*/true);
-        expectSameTraceGen(fused, ref, name);
+        for (int which : {0, 1}) {
+            SCOPED_TRACE(std::string(name) + " input " +
+                         std::to_string(which));
+            const core::FoldedTraceCollector ref = probeCollect(w, which);
+            const core::FusedBranchRun got =
+                core::runFusedBranchPass(w, which);
+            EXPECT_EQ(got.heldBytes, ref.heldBytes());
+            EXPECT_EQ(got.peakBytes, ref.peakHeldBytes());
+            ASSERT_FALSE(ref.traces().empty());
+            ASSERT_EQ(got.traces.size(), ref.traces().size());
+            for (const auto &[pc, want] : ref.traces()) {
+                auto it = got.traces.find(pc);
+                ASSERT_NE(it, got.traces.end()) << std::hex << pc;
+                const FoldedTrace &trace = it->second;
+                EXPECT_TRUE(trace.sameAs(want)) << std::hex << pc;
+                EXPECT_EQ(trace.capped(), want.capped())
+                    << std::hex << pc;
+                EXPECT_EQ(trace.logicalSize(), want.logicalSize())
+                    << std::hex << pc;
+                EXPECT_EQ(trace.dynamicCount(), want.dynamicCount())
+                    << std::hex << pc;
+            }
+        }
     }
 }
 
@@ -339,70 +305,79 @@ TEST(FusedBranchPass, FoldedRunMatchesAcrossModes)
 }
 
 // ---------------------------------------------------------------------
-// Artifact-level parity: fused vs reference AnalyzedWorkload
+// Artifact-level parity: AnalyzedWorkload vs per-op references
 // ---------------------------------------------------------------------
 
 TEST(FusedArtifact, WholeModeParity)
 {
     const char *name = "DES_ct"; // has secret regions -> taint runs
-    AnalyzeOptions fusedOpts;
-    fusedOpts.fusion = AnalysisFusion::Fused;
-    fusedOpts.phases = core::allAnalysisPhases;
-    AnalyzeOptions refOpts = fusedOpts;
-    refOpts.fusion = AnalysisFusion::Reference;
+    const core::Workload w = workload(name);
+    const uarch::TimingTrace ref = uarch::recordTrace(w, 2);
+    uarch::TraceSpanSource refSrc(ref);
+    const uarch::TaintBitmap refTaint =
+        uarch::computeTaintBitmap(refSrc, w.secretRegions, ref.size());
 
-    const auto fused = AnalyzedWorkload::analyze(workload(name),
-                                                 fusedOpts);
-    const auto ref = AnalyzedWorkload::analyze(workload(name), refOpts);
+    AnalyzeOptions options;
+    options.phases = core::allAnalysisPhases;
+    const auto aw = AnalyzedWorkload::analyze(workload(name), options);
 
-    // Trace ops (the fused artifact materializes AoS lazily here).
-    expectSameOpsIndexed(fused->timingTrace(),
-                         fused->workload().program, ref->timingTrace(),
-                         ref->workload().program, "whole-mode trace");
-    EXPECT_EQ(fused->numOps(), ref->numOps());
+    // Trace ops (the artifact materializes AoS lazily here).
+    expectSameOpsIndexed(aw->timingTrace(), aw->workload().program, ref,
+                         w.program, "whole-mode trace");
+    EXPECT_EQ(aw->numOps(), ref.size());
 
     // Taint bits.
-    const uarch::TaintBitmap &tf = fused->taintBitmap();
-    const uarch::TaintBitmap &tr = ref->taintBitmap();
-    ASSERT_EQ(tf.size(), tr.size());
-    EXPECT_EQ(tf.count(), tr.count());
-    EXPECT_GT(tf.count(), 0u);
-    for (size_t i = 0; i < tf.size(); i++)
-        ASSERT_EQ(tf.test(i), tr.test(i)) << "op " << i;
+    const uarch::TaintBitmap &taint = aw->taintBitmap();
+    ASSERT_EQ(taint.size(), refTaint.size());
+    EXPECT_EQ(taint.count(), refTaint.count());
+    EXPECT_GT(taint.count(), 0u);
+    for (size_t i = 0; i < taint.size(); i++)
+        ASSERT_EQ(taint.test(i), refTaint.test(i)) << "op " << i;
 
-    // Algorithm 2 image.
-    expectSameTraceGen(fused->traces(), ref->traces(), "whole image");
-
-    // Simulated cycles, including a taint-consuming scheme.
+    // Simulated cycles: chunk replay vs an AoS span replay of the
+    // scalar trace, including a taint-consuming scheme.
     for (uarch::Scheme scheme :
          {uarch::Scheme::Cassandra, uarch::Scheme::Prospect}) {
-        const auto a = core::Simulation(fused).run(scheme);
-        const auto b = core::Simulation(ref).run(scheme);
-        EXPECT_EQ(a.stats.cycles, b.stats.cycles)
-            << static_cast<int>(scheme);
-        EXPECT_EQ(a.stats.instructions, b.stats.instructions);
+        SCOPED_TRACE(uarch::schemeName(scheme));
+        core::SimConfig cfg;
+        cfg.scheme = scheme;
+        const bool cassandra = uarch::schemeIsCassandra(scheme);
+        uarch::OooCore core(cfg, w.program,
+                            cassandra ? &aw->traces().image : nullptr);
+        uarch::TraceSpanSource src(ref);
+        const uarch::CoreStats want = core.run(
+            src, scheme == uarch::Scheme::Prospect ? &refTaint : nullptr);
+        const auto got = core::Simulation(aw).run(scheme);
+        EXPECT_EQ(got.stats.cycles, want.cycles);
+        EXPECT_EQ(got.stats.instructions, want.instructions);
+        EXPECT_EQ(got.stats.prospectBlocks, want.prospectBlocks);
     }
 }
 
 TEST(FusedArtifact, StreamFileBytesIdentical)
 {
-    AnalyzeOptions fusedOpts;
-    fusedOpts.fusion = AnalysisFusion::Fused;
-    fusedOpts.traceMode = TraceMode::Stream;
-    fusedOpts.streamDir = testing::TempDir() + "/fused-stream-f";
-    AnalyzeOptions refOpts = fusedOpts;
-    refOpts.fusion = AnalysisFusion::Reference;
-    refOpts.streamDir = testing::TempDir() + "/fused-stream-r";
+    AnalyzeOptions options;
+    options.traceMode = TraceMode::Stream;
+    options.streamDir = testing::TempDir() + "/fused-stream";
+    const core::Workload w = workload("synthetic/chacha20/75");
+    const auto aw = AnalyzedWorkload::analyze(w, options);
 
-    const auto fused = AnalyzedWorkload::analyze(
-        workload("synthetic/chacha20/75"), fusedOpts);
-    const auto ref = AnalyzedWorkload::analyze(
-        workload("synthetic/chacha20/75"), refOpts);
-    EXPECT_EQ(fused->numOps(), ref->numOps());
-    ASSERT_NE(fused->streamPath(), ref->streamPath());
-    // The fused writer consumes whole SoA batches, the reference one
-    // op at a time; the container bytes must not differ.
-    EXPECT_EQ(readFile(fused->streamPath()), readFile(ref->streamPath()));
+    // Reference: the scalar trace appended op by op.
+    const std::string refPath =
+        testing::TempDir() + "/fused-stream-ref.casstf";
+    const uarch::TimingTrace ref = uarch::recordTrace(w, 2);
+    {
+        TraceStreamWriter writer(refPath,
+                                 core::programFingerprint(w.program));
+        for (const auto &op : ref)
+            writer.append(op);
+        writer.finish();
+    }
+    EXPECT_EQ(aw->numOps(), ref.size());
+    // The artifact's writer consumes whole SoA batches, the reference
+    // one op at a time; the container bytes must not differ.
+    EXPECT_EQ(readFile(aw->streamPath()), readFile(refPath));
+    std::remove(refPath.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -414,10 +389,7 @@ TEST(FusedArtifact, OnePassServesTraceAndTaint)
     const auto before = AnalyzedWorkload::analysisPhaseRuns();
     const uint64_t passes0 = core::fusedAnalysisPasses();
 
-    AnalyzeOptions options;
-    options.fusion = AnalysisFusion::Fused;
-    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"),
-                                              options);
+    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"));
     aw->ensurePhases(core::PhaseTimingTrace | core::PhaseTaint);
 
     const auto after = AnalyzedWorkload::analysisPhaseRuns();
@@ -427,18 +399,6 @@ TEST(FusedArtifact, OnePassServesTraceAndTaint)
     EXPECT_EQ(core::fusedAnalysisPasses(), passes0 + 1);
     EXPECT_TRUE(aw->hasTimingTrace());
     EXPECT_TRUE(aw->hasTaintBitmap());
-}
-
-TEST(FusedArtifact, ReferenceModeRunsNoFusedPass)
-{
-    const uint64_t passes0 = core::fusedAnalysisPasses();
-    AnalyzeOptions options;
-    options.fusion = AnalysisFusion::Reference;
-    options.phases = core::allAnalysisPhases;
-    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"),
-                                              options);
-    EXPECT_TRUE(aw->hasTimingTrace());
-    EXPECT_EQ(core::fusedAnalysisPasses(), passes0);
 }
 
 // ---------------------------------------------------------------------
@@ -467,8 +427,8 @@ TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
         // Synchronous reference.
         uarch::TimingTrace sync;
         {
-            ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "off");
-            TraceCursor cursor(path, w.program, backing);
+            TraceCursor cursor(path, w.program, backing,
+                               DecodeAhead::Off);
             uarch::OpBatch batch;
             while (size_t n = cursor.nextBatch(batch, 17)) {
                 for (size_t i = 0; i < n; i++) {
@@ -490,8 +450,8 @@ TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
         const uint64_t served0 = TraceCursor::prefetchBatches();
         uarch::TimingTrace pre;
         {
-            ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
-            TraceCursor cursor(path, w.program, backing);
+            TraceCursor cursor(path, w.program, backing,
+                               DecodeAhead::On);
             uarch::OpBatch batch;
             while (size_t n = cursor.nextBatch(batch, 17)) {
                 for (size_t i = 0; i < n; i++) {
@@ -526,9 +486,9 @@ TEST(StreamPrefetch, ScalarPathSharesThePrefetcher)
             writer.append(op);
         writer.finish();
     }
-    ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
     const uint64_t served0 = TraceCursor::prefetchBatches();
-    TraceCursor cursor(path, w.program);
+    TraceCursor cursor(path, w.program, TraceCursor::Backing::Auto,
+                       DecodeAhead::On);
     for (size_t i = 0; i < trace.size(); i++) {
         const uarch::TimingOp *op = cursor.next();
         ASSERT_NE(op, nullptr) << "op " << i;

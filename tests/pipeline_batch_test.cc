@@ -185,13 +185,6 @@ TEST(BatchColumnsTest, SpanSourceMatchesTraceAtOddBatchSizes)
         uarch::TraceSpanSource src(trace);
         expectBatchedColumnsEqualTrace(src, trace, max_ops);
     }
-    // The shared-mirror constructor serves the same columns.
-    uarch::OpBatchStorage mirror;
-    uarch::buildOpBatchStorage(trace, mirror);
-    for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
-        uarch::TraceSpanSource src(trace, mirror);
-        expectBatchedColumnsEqualTrace(src, trace, max_ops);
-    }
 }
 
 TEST(BatchColumnsTest, CursorMatchesTraceAtOddBatchSizes)

@@ -458,6 +458,119 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreEvicted)
     std::remove(path.c_str());
 }
 
+TEST(ArtifactVersionTest, WholeSnapshotResavesByteIdentical)
+{
+    // Whole-mode artifacts hold their trace as SoA chunks whether
+    // recorded or loaded; a loaded snapshot must re-save to exactly
+    // the bytes it was loaded from, through both save paths.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    AnalyzeOptions options;
+    options.phases = core::allAnalysisPhases;
+    auto artifact = AnalyzedWorkload::analyze(resolver("SHAKE"), options);
+    const std::string first = testing::TempDir() + "/resave-1.aw";
+    const std::string second = testing::TempDir() + "/resave-2.aw";
+    core::saveAnalyzedWorkload(*artifact, first, "SHAKE");
+    auto loaded = core::loadAnalyzedWorkload(first, resolver);
+    ASSERT_FALSE(loaded->streamed());
+    core::saveAnalyzedWorkload(*loaded, second, "SHAKE");
+    const std::vector<uint8_t> bytes =
+        core::readFileBytes(first, "snapshot");
+    EXPECT_EQ(core::readFileBytes(second, "snapshot"), bytes);
+
+    auto unpacked = core::unpackAnalyzedWorkload(bytes, resolver);
+    EXPECT_EQ(core::packAnalyzedWorkload(*unpacked, "SHAKE"), bytes);
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+}
+
+/**
+ * A whole-mode snapshot of `artifact` whose inline section is rebuilt
+ * from `ops` (pc, memAddr, nextPc per op) as CASSTF2 frames — the
+ * bytes a writer would produce for that trace.
+ */
+std::vector<uint8_t>
+snapshotWithOps(const AnalyzedWorkload &artifact,
+                const uarch::TimingTrace &ops)
+{
+    std::vector<uint8_t> bytes = core::packAnalyzedWorkload(artifact);
+    // magic[8] | u32 version | u32 metaLen | meta | u8 storage
+    // | u64 numOps | u32 frameOps | frames
+    uint32_t meta_len = 0;
+    for (int i = 0; i < 4; i++)
+        meta_len |= static_cast<uint32_t>(bytes[12 + i]) << (8 * i);
+    const size_t frames_at = 16 + meta_len + 1 + 8 + 4;
+    EXPECT_LT(frames_at, bytes.size());
+    bytes.resize(frames_at);
+    const size_t frame_ops = core::traceStreamDefaultFrameOps;
+    for (size_t first = 0; first < ops.size(); first += frame_ops) {
+        std::vector<uint8_t> raw;
+        for (size_t i = first; i < std::min(ops.size(), first + frame_ops);
+             i++) {
+            for (uint64_t v : {ops[i].pc, ops[i].memAddr, ops[i].nextPc})
+                for (int b = 0; b < 8; b++)
+                    raw.push_back(static_cast<uint8_t>(v >> (8 * b)));
+        }
+        const std::vector<uint8_t> frame = core::encodeTraceFrame(raw);
+        bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    return bytes;
+}
+
+TEST(ArtifactVersionTest, InlinePcOutsideTheProgramIsTyped)
+{
+    // The inline frames of a whole-mode snapshot come from disk, so
+    // the chunk relink checks every pc before it indexes the program:
+    // a pc past the end or off an instruction boundary must raise the
+    // typed error on both load paths, never index out of bounds.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
+    const uarch::TimingTrace trace = artifact->timingTrace();
+    const ir::Program &prog = artifact->workload().program;
+    ASSERT_GT(trace.size(), 100u);
+    const std::string path = testing::TempDir() + "/bad-pc.aw";
+
+    // The rebuilt section itself is sound: unmodified ops load back.
+    const std::vector<uint8_t> good = snapshotWithOps(*artifact, trace);
+    EXPECT_EQ(good, core::packAnalyzedWorkload(*artifact));
+    EXPECT_EQ(core::unpackAnalyzedWorkload(good, resolver)->numOps(),
+              trace.size());
+
+    const uint64_t past_end =
+        ir::Program::codeBase + prog.size() * ir::instBytes;
+    const size_t victim = trace.size() / 2;
+    const struct
+    {
+        const char *what;
+        uint64_t pc;
+    } cases[] = {
+        {"past the end", past_end},
+        {"far outside", 0x7ffffffffffff000ull},
+        {"below the code base", ir::Program::codeBase - ir::instBytes},
+        {"misaligned", trace[victim].pc + 1},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        uarch::TimingTrace ops = trace;
+        ops[victim].pc = c.pc;
+        const std::vector<uint8_t> bytes = snapshotWithOps(*artifact, ops);
+        auto expectTyped = [](const auto &load) {
+            try {
+                load();
+                ADD_FAILURE() << "a pc outside the program loaded";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("outside program"),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        expectTyped(
+            [&] { core::unpackAnalyzedWorkload(bytes, resolver); });
+        core::writeFileBytes(path, bytes);
+        expectTyped([&] { core::loadAnalyzedWorkload(path, resolver); });
+    }
+    std::remove(path.c_str());
+}
+
 TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();

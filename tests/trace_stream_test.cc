@@ -632,15 +632,15 @@ TEST(TaintBitmapTest, MatchesScalarTaintWalk)
 
 TEST(TaintBitmapTest, BitmapRunsMatchPerOpTaintFlagsAllSchemes)
 {
-    // The per-op path (a trace copy carrying each op's taint flag,
-    // replayed without a bitmap) and the bitmap path (pristine trace
-    // + 1 bit/op sidecar) must be cycle-for-cycle identical.
+    // The artifact path (fused taint walk over the fused recording,
+    // replayed from SoA chunks) and an independent reference (the
+    // scalar recordTrace probe, the scalar taint walk over it, and a
+    // TraceSpanSource replay) must be cycle-for-cycle identical.
     const char *name = "synthetic/curve25519/50";
     core::Workload w = workload(name);
-    auto tainted = uarch::recordTrace(w, 2);
-    const uarch::TaintBitmap taint = scalarTaint(w, tainted);
-    for (size_t i = 0; i < tainted.size(); i++)
-        tainted[i].tainted = taint.test(i);
+    const auto trace = uarch::recordTrace(w, 2);
+    const uarch::TaintBitmap taint = scalarTaint(w, trace);
+    ASSERT_GT(taint.count(), 0u);
 
     auto artifact = AnalyzedWorkload::analyze(workload(name));
     Simulation sim(artifact);
@@ -650,16 +650,19 @@ TEST(TaintBitmapTest, BitmapRunsMatchPerOpTaintFlagsAllSchemes)
         const core::TraceImage *image = nullptr;
         if (uarch::schemeIsCassandra(s))
             image = &artifact->traces().image;
-        uarch::OooCore per_op_core(cfg, w.program, image);
-        uarch::TraceSpanSource src(tainted);
-        auto per_op_stats = per_op_core.run(src);
+        uarch::OooCore ref_core(cfg, w.program, image);
+        uarch::TraceSpanSource src(trace);
+        auto ref_stats = ref_core.run(src, &taint);
         auto bitmap_stats = sim.run(s).stats;
         SCOPED_TRACE(uarch::schemeName(s));
-        EXPECT_EQ(bitmap_stats.cycles, per_op_stats.cycles);
-        EXPECT_EQ(bitmap_stats.prospectBlocks,
-                  per_op_stats.prospectBlocks);
+        EXPECT_EQ(bitmap_stats.cycles, ref_stats.cycles);
+        EXPECT_EQ(bitmap_stats.prospectBlocks, ref_stats.prospectBlocks);
+        // Only plain ProSpeCT opens windows on crypto branches.
+        if (s == Scheme::Prospect) {
+            EXPECT_GT(bitmap_stats.prospectBlocks, 0u);
+        }
         EXPECT_EQ(bitmap_stats.schemeLoadDelays,
-                  per_op_stats.schemeLoadDelays);
+                  ref_stats.schemeLoadDelays);
     }
 }
 
