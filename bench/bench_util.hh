@@ -1,43 +1,34 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction binaries: math
- * utilities, the common experiment CLI (--format/--out/--threads/
- * --workloads/--suite/--config/--list) and reporter plumbing.
+ * The run_experiment front end: its command line, the artifact
+ * snapshot cache, the run and the report.
  *
- * A migrated bench builds an ExperimentMatrix — or takes one straight
- * from a JSON config file via --config — runs it through the shared
- * ExperimentRunner, and either emits the machine-readable report the
- * user asked for (--format=json|csv) or falls through to its own
- * paper-style table:
+ * A sweep is always a JSON config (core/experiment_config.hh; the
+ * paper figures are configs/paper/<figure>.json). Command-line flags write
+ * straight into the loaded ExperimentSpec, so a flag beats the
+ * config key it mirrors:
  *
- *   auto opts = bench::parseCli(argc, argv);
- *   core::ExperimentMatrix matrix;
- *   if (!bench::matrixFromConfig(opts, matrix)) {
- *       ... build the bench's default matrix ...
- *   }
- *   auto exp = bench::runMatrix(matrix, opts);
- *   if (bench::emitReport(exp, opts))
- *       return 0;
- *   ... printf the figure table from exp.cells ...
+ *   core::ExperimentSpec spec = bench::parseCli(argc, argv);
+ *   core::Experiment exp = bench::runExperiment(spec);
+ *   bench::writeReport(exp, spec);
  *
  * Thread-pool sizing is decided in exactly one place — the runner
- * (RunnerOptions::resolveThreads) — benches only forward the CLI (or
- * config) thread count verbatim.
+ * (RunnerOptions::resolveThreads) — the front end only forwards the
+ * CLI (or config) thread count verbatim.
  */
 
 #ifndef CASSANDRA_BENCH_BENCH_UTIL_HH
 #define CASSANDRA_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -47,17 +38,6 @@
 
 namespace cassandra::bench {
 
-inline double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double x : xs)
-        acc += std::log(x);
-    return std::exp(acc / xs.size());
-}
-
 inline void
 printRule(int width)
 {
@@ -66,71 +46,23 @@ printRule(int width)
     std::putchar('\n');
 }
 
-/** Options shared by every experiment bench. */
-struct CliOptions
-{
-    std::string format = "table"; ///< table | json | csv
-    std::string out;              ///< output path; empty = stdout
-    unsigned threads = 0;         ///< 0 = runner decides
-    std::vector<std::string> workloads; ///< filter; empty = bench set
-    std::string suite;                  ///< filter; empty = all suites
-    std::string configPath;             ///< --config JSON sweep file
-    /// whole | stream (--trace-mode or the config's "trace_mode").
-    core::TraceMode traceMode = core::TraceMode::Whole;
-
-    /// inprocess | subprocess (--execution or "execution.mode").
-    core::ExecutionMode execution = core::ExecutionMode::InProcess;
-    /// Shard count (--shards or "execution.shards").
-    unsigned shards = 0;
-    /// Agent binary the executor spawns ("execution.worker_binary";
-    /// run_experiment defaults it to its own argv[0]).
-    std::string workerBinary;
-
-    /// off | on | readonly (--cache or the config's "cache.mode").
-    core::CacheMode cacheMode = core::CacheMode::Off;
-    /// Result-store directory (--cache-dir or "cache.dir"); empty =
-    /// the runner's default ("result-cache").
-    std::string cacheDir;
-    /// Result-store disk budget in MiB (--cache-gc-mb or
-    /// "cache.gc_mb"); 0 = unbounded.
-    uint64_t cacheGcMb = 0;
-    /// Telemetry JSON path (--stats-out or "report.stats_out"); the
-    /// cache_stats/schedule document, kept out of the main report so
-    /// warm and cold runs stay byte-identical.
-    std::string statsOut;
-
-    /// CLI flags beat config-file settings; track what was spelled.
-    bool formatExplicit = false;
-    bool outExplicit = false;
-    bool threadsExplicit = false;
-    bool traceModeExplicit = false;
-    bool executionExplicit = false;
-    bool shardsExplicit = false;
-    bool cacheModeExplicit = false;
-    bool cacheDirExplicit = false;
-    bool statsOutExplicit = false;
-    bool cacheGcMbExplicit = false;
-
-    /// Artifact snapshot directory (from the config file).
-    std::string artifactDir;
-    bool artifactSave = false;
-};
-
 inline void
 printCliHelp(const char *prog)
 {
     std::printf(
-        "usage: %s [options]\n"
-        "  --format=F     output format: table (default), json, csv\n"
+        "usage: %s CONFIG.json [options]\n"
+        "Runs the sweep a JSON experiment config describes (the paper\n"
+        "figures are configs/paper/*.json); a flag overrides the config\n"
+        "key it mirrors. Flags take VALUE as --flag=VALUE or --flag "
+        "VALUE.\n"
+        "  --config=FILE  the config, when not given positionally\n"
+        "  --format=F     report format: table (default), json, csv or\n"
+        "                 a paper figure reporter (fig7, ...)\n"
         "  --out=PATH     write the report to PATH instead of stdout\n"
         "  --threads=N    worker threads (default: hardware "
         "concurrency)\n"
         "  --workloads=A,B  run only the named workloads\n"
-        "  --suite=S      run only one suite (BearSSL, OpenSSL, PQC, "
-        "Synthetic)\n"
-        "  --config=FILE  load the full sweep (workloads, schemes,\n"
-        "                 parameter overrides, report settings) from a\n"
-        "                 JSON experiment config; CLI flags override\n"
+        "  --suite=S      run only the config's workloads of one suite\n"
         "  --trace-mode=M timing trace storage: whole (default, in\n"
         "                 memory) or stream (spill to chunked trace\n"
         "                 files, replay from disk; same cycles, flat\n"
@@ -157,232 +89,152 @@ printCliHelp(const char *prog)
         prog);
 }
 
+/** Parse an unsigned flag value in [min, max] or exit 2. */
+inline uint64_t
+uintOption(const std::string &flag, const std::string &value,
+           uint64_t min, uint64_t max)
+{
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+    if (value.empty() || *end != '\0' || value[0] == '-' || n < min ||
+        n > max) {
+        std::fprintf(stderr, "invalid %s=%s\n", flag.c_str(),
+                     value.c_str());
+        std::exit(2);
+    }
+    return n;
+}
+
 /**
- * Parse the shared flags; exits on --help/--list/parse errors so
- * benches only see well-formed options.
+ * Parse run_experiment's command line into the sweep it runs: load
+ * the config (the first positional argument or --config), let every
+ * flag write into the loaded spec, then expand the config's suites
+ * and apply the --workloads/--suite filters into
+ * spec.matrix.workloads. Exits 0 after --help/--list and 2 on an
+ * unknown flag, a bad value, a malformed config or an unknown
+ * workload.
  */
-inline CliOptions
+inline core::ExperimentSpec
 parseCli(int argc, char **argv)
 {
-    CliOptions opts;
+    static const char *const value_flags[] = {
+        "--config",    "--format",    "--out",       "--threads",
+        "--workloads", "--suite",     "--trace-mode", "--execution",
+        "--shards",    "--cache",     "--cache-dir", "--cache-gc-mb",
+        "--stats-out",
+    };
+    std::string config;
+    std::vector<std::pair<std::string, std::string>> flags;
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            size_t n = std::strlen(flag);
-            if (arg.compare(0, n, flag) != 0 || arg.size() <= n ||
-                arg[n] != '=')
-                return nullptr;
-            return arg.c_str() + n + 1;
-        };
         if (arg == "--help" || arg == "-h") {
             printCliHelp(argv[0]);
             std::exit(0);
-        } else if (arg == "--list") {
+        }
+        if (arg == "--list") {
             const auto &reg = crypto::WorkloadRegistry::global();
             for (const std::string &name : reg.names())
                 std::printf("%s (%s)\n", name.c_str(),
                             reg.suiteOf(name).c_str());
             std::exit(0);
-        } else if (const char *v = value("--format")) {
-            opts.format = v;
-            opts.formatExplicit = true;
-        } else if (const char *v = value("--out")) {
-            opts.out = v;
-            opts.outExplicit = true;
-        } else if (const char *v = value("--threads")) {
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n > 1024) {
-                std::fprintf(stderr, "invalid --threads=%s\n", v);
-                std::exit(2);
-            }
-            opts.threads = static_cast<unsigned>(n);
-            opts.threadsExplicit = true;
-        } else if (const char *v = value("--suite")) {
-            opts.suite = v;
-        } else if (const char *v = value("--trace-mode")) {
-            try {
-                opts.traceMode = core::traceModeFromName(v);
-            } catch (const std::invalid_argument &) {
-                std::fprintf(stderr, "invalid --trace-mode=%s "
-                                     "(expected whole or stream)\n",
-                             v);
-                std::exit(2);
-            }
-            opts.traceModeExplicit = true;
-        } else if (const char *v = value("--config")) {
-            opts.configPath = v;
-        } else if (arg == "--config" && i + 1 < argc) {
-            opts.configPath = argv[++i];
-        } else if (value("--execution") ||
-                   (arg == "--execution" && i + 1 < argc)) {
-            const char *v = value("--execution");
-            if (!v)
-                v = argv[++i];
-            try {
-                opts.execution = core::executionModeFromName(v);
-            } catch (const std::invalid_argument &) {
-                std::fprintf(stderr,
-                             "unknown option value: --execution=%s "
-                             "(expected inprocess or subprocess)\n",
-                             v);
-                std::exit(2);
-            }
-            opts.executionExplicit = true;
-        } else if (value("--shards") ||
-                   (arg == "--shards" && i + 1 < argc)) {
-            const char *v = value("--shards");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n == 0 ||
-                n > 1024) {
-                std::fprintf(stderr, "invalid --shards=%s\n", v);
-                std::exit(2);
-            }
-            opts.shards = static_cast<unsigned>(n);
-            opts.shardsExplicit = true;
-        } else if (value("--cache") ||
-                   (arg == "--cache" && i + 1 < argc)) {
-            const char *v = value("--cache");
-            if (!v)
-                v = argv[++i];
-            try {
-                opts.cacheMode = core::cacheModeFromName(v);
-            } catch (const std::invalid_argument &) {
-                std::fprintf(stderr,
-                             "invalid --cache=%s (expected off, on "
-                             "or readonly)\n",
-                             v);
-                std::exit(2);
-            }
-            opts.cacheModeExplicit = true;
-        } else if (value("--cache-dir") ||
-                   (arg == "--cache-dir" && i + 1 < argc)) {
-            const char *v = value("--cache-dir");
-            if (!v)
-                v = argv[++i];
-            opts.cacheDir = v;
-            opts.cacheDirExplicit = true;
-        } else if (value("--cache-gc-mb") ||
-                   (arg == "--cache-gc-mb" && i + 1 < argc)) {
-            const char *v = value("--cache-gc-mb");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-') {
-                std::fprintf(stderr, "invalid --cache-gc-mb=%s\n", v);
-                std::exit(2);
-            }
-            opts.cacheGcMb = n;
-            opts.cacheGcMbExplicit = true;
-        } else if (value("--stats-out") ||
-                   (arg == "--stats-out" && i + 1 < argc)) {
-            const char *v = value("--stats-out");
-            if (!v)
-                v = argv[++i];
-            opts.statsOut = v;
-            opts.statsOutExplicit = true;
-        } else if (const char *v = value("--workloads")) {
-            std::string list = v;
-            size_t pos = 0;
-            while (pos <= list.size()) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                if (comma > pos)
-                    opts.workloads.push_back(
-                        list.substr(pos, comma - pos));
-                pos = comma + 1;
-            }
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+        }
+        if (!arg.empty() && arg[0] != '-' && config.empty()) {
+            config = arg;
+            continue;
+        }
+        const size_t eq = arg.find('=');
+        const std::string flag = arg.substr(0, eq);
+        const bool known =
+            std::find(std::begin(value_flags), std::end(value_flags),
+                      flag) != std::end(value_flags);
+        if (!known || (eq == std::string::npos && i + 1 >= argc)) {
+            std::fprintf(stderr, "%s: %s\n",
+                         known ? "missing option value" : "unknown option",
+                         arg.c_str());
             printCliHelp(argv[0]);
             std::exit(2);
         }
+        std::string value =
+            eq == std::string::npos ? argv[++i] : arg.substr(eq + 1);
+        if (flag == "--config")
+            config = value;
+        else
+            flags.emplace_back(flag, std::move(value));
     }
-    if (opts.format != "table" && opts.format != "json" &&
-        opts.format != "csv") {
-        std::fprintf(stderr, "unknown --format=%s\n",
-                     opts.format.c_str());
-        std::exit(2);
-    }
-    return opts;
-}
 
-/** Registry names of the Fig. 7 crypto set (no synthetic mixes). */
-inline std::vector<std::string>
-cryptoWorkloadNames()
-{
-    const auto &reg = crypto::WorkloadRegistry::global();
-    std::vector<std::string> out;
-    for (const char *suite : {"BearSSL", "OpenSSL", "PQC"})
-        for (const std::string &name : reg.names(suite))
-            out.push_back(name);
-    return out;
-}
-
-/**
- * Apply the --workloads/--suite filters to a bench's default workload
- * list. Unknown names in --workloads abort with a message.
- */
-inline std::vector<std::string>
-selectWorkloads(const std::vector<std::string> &defaults,
-                const CliOptions &opts)
-{
-    const auto &reg = crypto::WorkloadRegistry::global();
-    std::vector<std::string> out;
-    if (!opts.workloads.empty()) {
-        for (const std::string &name : opts.workloads) {
-            if (!reg.contains(name)) {
-                std::fprintf(stderr, "unknown workload: %s\n",
-                             name.c_str());
-                std::exit(2);
-            }
-            out.push_back(name);
-        }
-        return out;
-    }
-    for (const std::string &name : defaults) {
-        if (opts.suite.empty() || reg.suiteOf(name) == opts.suite)
-            out.push_back(name);
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "no workloads selected\n");
-        std::exit(2);
-    }
-    return out;
-}
-
-/**
- * Load --config (when given), expand its suites through the registry,
- * fold its report/thread settings into opts (explicit CLI flags win)
- * and fill the matrix. Returns false — leaving matrix untouched —
- * when no config file drives this run. Exits with a message on
- * malformed configs, like the other CLI errors.
- */
-inline bool
-matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
-{
-    if (opts.configPath.empty())
-        return false;
     core::ExperimentSpec spec;
-    try {
-        spec = core::loadExperimentSpec(opts.configPath);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s: %s\n", opts.configPath.c_str(),
-                     e.what());
+    if (!config.empty()) {
+        try {
+            spec = core::loadExperimentSpec(config);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "%s: %s\n", config.c_str(), e.what());
+            std::exit(2);
+        }
+    }
+
+    std::vector<std::string> only; // --workloads
+    std::string suite;             // --suite
+    for (const auto &[flag, value] : flags) {
+        try {
+            if (flag == "--format") {
+                core::makeReporter(value);
+                spec.format = value;
+            } else if (flag == "--out") {
+                spec.out = value;
+            } else if (flag == "--threads") {
+                spec.threads =
+                    static_cast<unsigned>(uintOption(flag, value, 0, 1024));
+            } else if (flag == "--workloads") {
+                size_t pos = 0;
+                while (pos <= value.size()) {
+                    size_t comma = value.find(',', pos);
+                    if (comma == std::string::npos)
+                        comma = value.size();
+                    if (comma > pos)
+                        only.push_back(value.substr(pos, comma - pos));
+                    pos = comma + 1;
+                }
+            } else if (flag == "--suite") {
+                suite = value;
+            } else if (flag == "--trace-mode") {
+                spec.traceMode = core::traceModeFromName(value);
+            } else if (flag == "--execution") {
+                spec.executionMode = core::executionModeFromName(value);
+            } else if (flag == "--shards") {
+                spec.shards =
+                    static_cast<unsigned>(uintOption(flag, value, 1, 1024));
+            } else if (flag == "--cache") {
+                spec.cacheMode = core::cacheModeFromName(value);
+            } else if (flag == "--cache-dir") {
+                spec.cacheDir = value;
+            } else if (flag == "--cache-gc-mb") {
+                spec.cacheGcMb = uintOption(flag, value, 0, ~0ull);
+            } else if (flag == "--stats-out") {
+                spec.statsOut = value;
+            }
+        } catch (const std::invalid_argument &e) {
+            // A name that selects nothing (format, mode, cache mode).
+            std::fprintf(stderr, "unknown option value: %s=%s: %s\n",
+                         flag.c_str(), value.c_str(), e.what());
+            std::exit(2);
+        }
+    }
+    if (config.empty()) {
+        std::fprintf(stderr,
+                     "usage: %s CONFIG.json [options]\n"
+                     "       (see --help for the options)\n",
+                     argv[0]);
         std::exit(2);
     }
+
+    // The config's workloads: explicit names, then its suites.
     const auto &reg = crypto::WorkloadRegistry::global();
     std::vector<std::string> names = spec.matrix.workloads;
-    for (const std::string &suite : spec.suites) {
-        std::vector<std::string> expanded = reg.names(suite);
+    for (const std::string &s : spec.suites) {
+        const std::vector<std::string> expanded = reg.names(s);
         if (expanded.empty()) {
             std::fprintf(stderr, "%s: suite \"%s\" names no workloads\n",
-                         opts.configPath.c_str(), suite.c_str());
+                         config.c_str(), s.c_str());
             std::exit(2);
         }
         names.insert(names.end(), expanded.begin(), expanded.end());
@@ -390,40 +242,34 @@ matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
     for (const std::string &name : names) {
         if (!reg.contains(name)) {
             std::fprintf(stderr, "%s: unknown workload \"%s\"\n",
-                         opts.configPath.c_str(), name.c_str());
+                         config.c_str(), name.c_str());
             std::exit(2);
         }
     }
-    matrix = spec.matrix;
-    // --workloads / --suite filter the configured list like they
-    // filter a bench's default list.
-    matrix.workloads = selectWorkloads(names, opts);
+    spec.suites.clear();
 
-    if (!opts.formatExplicit && !spec.format.empty())
-        opts.format = spec.format;
-    if (!opts.outExplicit && !spec.out.empty())
-        opts.out = spec.out;
-    if (!opts.threadsExplicit && spec.threads != 0)
-        opts.threads = spec.threads;
-    if (!opts.traceModeExplicit && spec.traceModeSet)
-        opts.traceMode = spec.traceMode;
-    if (!opts.executionExplicit && spec.executionModeSet)
-        opts.execution = spec.executionMode;
-    if (!opts.shardsExplicit && spec.shardsSet)
-        opts.shards = spec.shards;
-    if (opts.workerBinary.empty())
-        opts.workerBinary = spec.workerBinary;
-    if (!opts.cacheModeExplicit && spec.cacheModeSet)
-        opts.cacheMode = spec.cacheMode;
-    if (!opts.cacheDirExplicit && !spec.cacheDir.empty())
-        opts.cacheDir = spec.cacheDir;
-    if (!opts.cacheGcMbExplicit && spec.cacheGcMbSet)
-        opts.cacheGcMb = spec.cacheGcMb;
-    if (!opts.statsOutExplicit && !spec.statsOut.empty())
-        opts.statsOut = spec.statsOut;
-    opts.artifactDir = spec.artifactDir;
-    opts.artifactSave = spec.artifactSave;
-    return true;
+    // --workloads replaces the list; --suite filters it.
+    spec.matrix.workloads.clear();
+    if (!only.empty()) {
+        for (const std::string &name : only) {
+            if (!reg.contains(name)) {
+                std::fprintf(stderr, "unknown workload: %s\n",
+                             name.c_str());
+                std::exit(2);
+            }
+        }
+        spec.matrix.workloads = only;
+        return spec;
+    }
+    for (const std::string &name : names) {
+        if (suite.empty() || reg.suiteOf(name) == suite)
+            spec.matrix.workloads.push_back(name);
+    }
+    if (spec.matrix.workloads.empty()) {
+        std::fprintf(stderr, "no workloads selected\n");
+        std::exit(2);
+    }
+    return spec;
 }
 
 /** Artifact snapshot path for a workload name ('/' is not a file
@@ -439,23 +285,23 @@ artifactPath(const std::string &dir, const std::string &name)
     return dir + "/" + file + ".aw";
 }
 
-/** Analysis options of one bench run: trace mode from the CLI/config,
- * stream files next to the artifact snapshots (or in the default
- * temp directory when no artifact dir is configured). */
+/** Analysis options of one run: the spec's trace mode, stream files
+ * next to the artifact snapshots (or in the default temp directory
+ * when no artifact dir is configured). */
 inline core::AnalyzeOptions
-analyzeOptions(const CliOptions &opts)
+analyzeOptions(const core::ExperimentSpec &spec)
 {
     core::AnalyzeOptions options;
-    options.traceMode = opts.traceMode;
-    if (!opts.artifactDir.empty())
-        options.streamDir = opts.artifactDir;
+    options.traceMode = spec.traceMode;
+    if (!spec.artifactDir.empty())
+        options.streamDir = spec.artifactDir;
     return options;
 }
 
 /**
- * Analysis cache for one bench run, preloaded from opts.artifactDir
- * when the config named one. Workloads without a loadable snapshot
- * analyze fresh; with artifactSave their names land in `missing` so
+ * Analysis cache for one run, preloaded from spec.artifactDir when
+ * the config named one. Workloads without a loadable snapshot analyze
+ * fresh; with artifactSave their names land in `missing` so
  * saveArtifacts can snapshot them afterwards. Snapshots with an
  * outdated container version or a mismatched fingerprint are evicted
  * (deleted) — a cache that silently re-analyzes around bad files
@@ -464,27 +310,27 @@ analyzeOptions(const CliOptions &opts)
  */
 inline std::shared_ptr<core::AnalysisCache>
 makeArtifactCache(const std::vector<std::string> &names,
-                  const CliOptions &opts,
+                  const core::ExperimentSpec &spec,
                   std::vector<std::string> &missing)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto cache = std::make_shared<core::AnalysisCache>(
-        resolver, analyzeOptions(opts));
-    if (opts.artifactDir.empty())
+        resolver, analyzeOptions(spec));
+    if (spec.artifactDir.empty())
         return cache;
     for (const std::string &name : names) {
         if (cache->contains(name) ||
             std::find(missing.begin(), missing.end(), name) !=
                 missing.end())
             continue;
-        const std::string path = artifactPath(opts.artifactDir, name);
+        const std::string path = artifactPath(spec.artifactDir, name);
         try {
             // Rehydrated streams belong where fresh analyses put
             // theirs (the artifact dir), not in $TMPDIR.
             cache->put(name,
                        core::loadAnalyzedWorkload(
                            path, resolver,
-                           analyzeOptions(opts).streamDir));
+                           analyzeOptions(spec).streamDir));
         } catch (const core::ArtifactError &e) {
             // Outdated container version or stale fingerprint: evict
             // the file so the next save rewrites it.
@@ -506,21 +352,22 @@ makeArtifactCache(const std::vector<std::string> &names,
     return cache;
 }
 
-/** Snapshot freshly analyzed artifacts back into opts.artifactDir. */
+/** Snapshot freshly analyzed artifacts back into spec.artifactDir. */
 inline void
 saveArtifacts(
     const std::map<std::string, core::AnalyzedWorkload::Ptr> &artifacts,
-    const std::vector<std::string> &missing, const CliOptions &opts)
+    const std::vector<std::string> &missing,
+    const core::ExperimentSpec &spec)
 {
-    if (opts.artifactDir.empty() || !opts.artifactSave)
+    if (spec.artifactDir.empty() || !spec.artifactSave)
         return;
     // Whole-mode sweeps never touch the stream layer, so the artifact
     // directory may not exist yet.
     try {
-        core::ensureDirectories(opts.artifactDir);
+        core::ensureDirectories(spec.artifactDir);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "cannot create artifact dir %s: %s\n",
-                     opts.artifactDir.c_str(), e.what());
+                     spec.artifactDir.c_str(), e.what());
         return;
     }
     for (const std::string &name : missing) {
@@ -529,8 +376,7 @@ saveArtifacts(
             continue;
         try {
             core::saveAnalyzedWorkload(
-                *it->second, artifactPath(opts.artifactDir, name),
-                name);
+                *it->second, artifactPath(spec.artifactDir, name), name);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "cannot save artifact for %s: %s\n",
                          name.c_str(), e.what());
@@ -539,75 +385,33 @@ saveArtifacts(
 }
 
 /**
- * Runner options from the parsed CLI/config options. Exits with a
- * message when subprocess execution has no agent binary.
- */
-inline core::RunnerOptions
-runnerOptionsFromCli(const CliOptions &opts)
-{
-    core::RunnerOptions runner_opts;
-    runner_opts.threads = opts.threads;
-    runner_opts.analyze = analyzeOptions(opts);
-    runner_opts.execution = opts.execution;
-    runner_opts.shards = opts.shards;
-    runner_opts.workerBinary = opts.workerBinary;
-    runner_opts.cacheMode = opts.cacheMode;
-    runner_opts.cacheDir = opts.cacheDir;
-    runner_opts.cacheGcMb = opts.cacheGcMb;
-    if (runner_opts.execution == core::ExecutionMode::Subprocess &&
-        runner_opts.workerBinary.empty()) {
-        std::fprintf(stderr,
-                     "--execution subprocess needs an agent binary: "
-                     "set \"execution\": {\"worker_binary\": ...} in "
-                     "the config, or run through run_experiment "
-                     "(which shards onto itself)\n");
-        std::exit(2);
-    }
-    return runner_opts;
-}
-
-/**
- * Run a batch of matrices with the registry resolver, sharing one
- * analysis cache (and one analysis phase) across all of them; cells
- * concatenate in matrix order. When the config named an artifact
- * directory, snapshots are loaded from it instead of re-analyzing
- * and — with "save": true — freshly analyzed workloads are written
- * back.
+ * Run the spec's matrix with the registry resolver. When the config
+ * named an artifact directory, snapshots are loaded from it instead
+ * of re-analyzing and — with "save": true — freshly analyzed
+ * workloads are written back; spec.statsOut receives the run's
+ * telemetry.
  */
 inline core::Experiment
-runMatrices(const std::vector<core::ExperimentMatrix> &matrices,
-            const CliOptions &opts)
+runExperiment(const core::ExperimentSpec &spec)
 {
-    std::vector<std::string> names;
-    for (const auto &matrix : matrices)
-        names.insert(names.end(), matrix.workloads.begin(),
-                     matrix.workloads.end());
     std::vector<std::string> missing;
-    auto cache = makeArtifactCache(names, opts, missing);
+    auto cache = makeArtifactCache(spec.matrix.workloads, spec, missing);
 
-    // An explicit --trace-mode overrides whatever the matrices'
-    // configs say, in both directions (config-file settings are
-    // already baked into the parsed configs, so they need no forcing).
-    std::vector<core::ExperimentMatrix> resolved = matrices;
-    if (opts.traceModeExplicit) {
-        for (auto &matrix : resolved) {
-            if (matrix.configs.empty() &&
-                opts.traceMode == core::TraceMode::Stream)
-                matrix.configs.push_back(core::SimConfig{});
-            for (auto &cfg : matrix.configs)
-                cfg.traceMode = opts.traceMode;
-        }
-    }
-
-    core::RunnerOptions runner_opts = runnerOptionsFromCli(opts);
-    core::ExperimentRunner runner(cache, runner_opts);
-    core::Experiment exp = runner.run(resolved);
-    saveArtifacts(exp.artifacts, missing, opts);
-    if (!opts.statsOut.empty()) {
-        std::ofstream file(opts.statsOut);
+    core::RunnerOptions options(spec.threads, analyzeOptions(spec));
+    options.execution = spec.executionMode;
+    options.shards = spec.shards;
+    options.workerBinary = spec.workerBinary;
+    options.cacheMode = spec.cacheMode;
+    options.cacheDir = spec.cacheDir;
+    options.cacheGcMb = spec.cacheGcMb;
+    core::Experiment exp =
+        core::ExperimentRunner(cache, options).run(spec.matrix);
+    saveArtifacts(exp.artifacts, missing, spec);
+    if (!spec.statsOut.empty()) {
+        std::ofstream file(spec.statsOut);
         if (!file) {
             std::fprintf(stderr, "cannot open %s for writing\n",
-                         opts.statsOut.c_str());
+                         spec.statsOut.c_str());
             std::exit(1);
         }
         core::writeRunTelemetry(exp.telemetry, file);
@@ -615,36 +419,24 @@ runMatrices(const std::vector<core::ExperimentMatrix> &matrices,
     return exp;
 }
 
-/** Run one matrix (see runMatrices). */
-inline core::Experiment
-runMatrix(const core::ExperimentMatrix &matrix, const CliOptions &opts)
+/** Write the report in spec.format ("table" when unset) to spec.out,
+ * or stdout when unset. */
+inline void
+writeReport(const core::Experiment &exp, const core::ExperimentSpec &spec)
 {
-    return runMatrices({matrix}, opts);
-}
-
-/**
- * Emit the machine-readable report when one was requested. Returns
- * true when the bench is done (json/csv written); false means the
- * caller should print its paper-style table.
- */
-inline bool
-emitReport(const core::Experiment &exp, const CliOptions &opts)
-{
-    if (opts.format == "table" && opts.out.empty())
-        return false;
-    auto reporter = core::makeReporter(opts.format);
-    if (opts.out.empty()) {
+    auto reporter =
+        core::makeReporter(spec.format.empty() ? "table" : spec.format);
+    if (spec.out.empty()) {
         reporter->write(exp, std::cout);
-        return true;
+        return;
     }
-    std::ofstream file(opts.out);
+    std::ofstream file(spec.out);
     if (!file) {
         std::fprintf(stderr, "cannot open %s for writing\n",
-                     opts.out.c_str());
+                     spec.out.c_str());
         std::exit(1);
     }
     reporter->write(exp, file);
-    return true;
 }
 
 } // namespace cassandra::bench

@@ -1,23 +1,23 @@
 /**
  * @file
- * Standalone config-file front end: the whole sweep — workloads,
- * schemes, SimConfig variants, trace mode, report settings, artifact
- * cache, execution backend — comes from one JSON experiment config,
- * so experiments are versionable artifacts instead of bench-specific
- * conventions:
+ * The experiment front end: the whole sweep — workloads, schemes,
+ * SimConfig variants, trace mode, report format, artifact cache,
+ * execution backend — comes from one JSON experiment config, so
+ * experiments are versionable artifacts. The paper's figures and
+ * tables are configs too, each printed by its named reporter:
  *
- *   run_experiment configs/ci_smoke.json
+ *   run_experiment configs/paper/fig7.json          # Figure 7
+ *   run_experiment configs/paper/table1.json        # Table 1
  *   run_experiment configs/ci_smoke.json --trace-mode=stream \
  *       --format=json --out=smoke.json
  *   run_experiment configs/ci_smoke_stream.json \
  *       --execution subprocess --shards 4
  *
  * The config may be given positionally or via --config=FILE; the
- * other shared CLI flags (--format/--out/--threads/--workloads/
- * --suite/--trace-mode/--execution/--shards/
- * --cache/--cache-dir/--stats-out) override the config file as
- * usual. Unlike the figure benches there is no built-in matrix: no
- * config is an error.
+ * flags (--format/--out/--threads/--workloads/--suite/--trace-mode/
+ * --execution/--shards/--cache/--cache-dir/--cache-gc-mb/--stats-out,
+ * each as --flag=VALUE or --flag VALUE) override the config file.
+ * There is no built-in matrix: no config is an error.
  *
  * The binary doubles as the shard agent of `--execution subprocess`
  * (it is its own default agent binary): the run spawns one
@@ -33,7 +33,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -125,62 +124,12 @@ main(int argc, char **argv)
             return agentMain(argc, argv);
     }
 
-    // Accept the config file as the first positional argument by
-    // rewriting it to the shared CLI's --config=FILE before parsing.
-    // Space-form flag values ("--execution subprocess") must not be
-    // mistaken for that positional.
-    auto takes_space_value = [](const char *arg) {
-        return std::strcmp(arg, "--config") == 0 ||
-            std::strcmp(arg, "--execution") == 0 ||
-            std::strcmp(arg, "--shards") == 0 ||
-            std::strcmp(arg, "--cache") == 0 ||
-            std::strcmp(arg, "--cache-dir") == 0 ||
-            std::strcmp(arg, "--cache-gc-mb") == 0 ||
-            std::strcmp(arg, "--stats-out") == 0;
-    };
-    std::vector<std::string> args;
-    args.reserve(static_cast<size_t>(argc));
-    bool have_positional = false;
-    for (int i = 1; i < argc; i++) {
-        if (takes_space_value(argv[i])) {
-            args.push_back(argv[i]);
-            if (i + 1 < argc)
-                args.push_back(argv[++i]);
-        } else if (argv[i][0] != '-' && !have_positional) {
-            args.push_back(std::string("--config=") + argv[i]);
-            have_positional = true;
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-
-    std::vector<char *> cargv;
-    cargv.push_back(argv[0]);
-    for (std::string &arg : args)
-        cargv.push_back(arg.data());
-
-    auto opts = bench::parseCli(static_cast<int>(cargv.size()),
-                                cargv.data());
-
-    if (opts.configPath.empty()) {
-        std::fprintf(stderr,
-                     "usage: %s CONFIG.json [options]\n"
-                     "       (see --help for the shared options)\n",
-                     argv[0]);
-        return 2;
-    }
-
-    core::ExperimentMatrix matrix;
-    bench::matrixFromConfig(opts, matrix); // exits on malformed configs
-
+    core::ExperimentSpec spec = bench::parseCli(argc, argv);
     // This binary implements the --agent contract, so out-of-process
     // execution spawns itself unless the config names another agent
     // binary.
-    if (opts.workerBinary.empty())
-        opts.workerBinary = selfBinaryPath(argv[0]);
-
-    auto exp = bench::runMatrix(matrix, opts);
-    if (!bench::emitReport(exp, opts))
-        core::TableReporter().write(exp, std::cout);
+    if (spec.workerBinary.empty())
+        spec.workerBinary = selfBinaryPath(argv[0]);
+    bench::writeReport(bench::runExperiment(spec), spec);
     return 0;
 }

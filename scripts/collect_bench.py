@@ -11,7 +11,8 @@ of configs/ci_smoke.json, then writes three machine-readable baselines:
                       phases, with the run's cache/scheduler telemetry
   BENCH_q3.json       server macro benchmark: simulated requests/sec
                       per scheme on the composite server/tls mixes
-                      (q3_cassandra_lite), plus the harness wall time
+                      (configs/paper/q3.json), plus the harness wall
+                      time
 
 Usage: scripts/collect_bench.py [--build BUILD_DIR] [--out-dir DIR]
                                 [--repeat N] [--compare OLD.json]
@@ -96,13 +97,16 @@ REGRESSION_LIMIT = 0.15  # fraction of cells/sec loss that fails CI
 NOMINAL_HZ = 3e9  # presentation clock of the q3 requests/sec numbers
 
 
-def timed_q3(q3_binary):
+Q3_CONFIG = "configs/paper/q3.json"
+
+
+def timed_q3(run_experiment):
     """One q3 server sweep -> (seconds, per-scheme requests/sec)."""
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "report.json")
         start = time.monotonic()
         subprocess.run(
-            [q3_binary, "--format=json", f"--out={out}"],
+            [run_experiment, Q3_CONFIG, "--format=json", f"--out={out}"],
             check=True, stdout=subprocess.DEVNULL)
         seconds = time.monotonic() - start
         results = json.load(open(out))["results"]
@@ -250,10 +254,9 @@ def main():
     # per scheme on the composite server/tls mixes. The throughput
     # numbers derive from deterministic simulated cycles (identical
     # every run); only the wall seconds take best-of-N.
-    q3_binary = os.path.join(args.build, "bench", "q3_cassandra_lite")
     q3_s = None
     for _ in range(max(1, args.repeat)):
-        seconds, q3_workloads, q3_schemes = timed_q3(q3_binary)
+        seconds, q3_workloads, q3_schemes = timed_q3(run_experiment)
         if q3_s is None or seconds < q3_s:
             q3_s = seconds
     doc = {

@@ -3,7 +3,7 @@
  * Content-addressed artifact store ("drop box") for out-of-process
  * shard dispatch.
  *
- * The coordinator/agent protocol is file-based: CASSSM3 manifests plus
+ * The coordinator/agent protocol is file-based: CASSSM4 manifests plus
  * self-contained CASSAW4 snapshots in, CASSCR1 result sets out, all
  * addressed by store keys (relative, '/'-separated paths under the
  * store root). Under `--execution subprocess` each run owns a private

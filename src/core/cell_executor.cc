@@ -295,14 +295,14 @@ InProcessExecutor::execute(const std::vector<PlannedCell> &cells,
 }
 
 // ---------------------------------------------------------------------
-// Shard manifests (CASSSM3)
+// Shard manifests (CASSSM4)
 // ---------------------------------------------------------------------
 
 namespace {
 
 constexpr char manifestMagic[8] = {'C', 'A', 'S', 'S',
-                                   'S', 'M', '3', '\n'};
-constexpr uint32_t manifestVersion = 3;
+                                   'S', 'M', '4', '\n'};
+constexpr uint32_t manifestVersion = 4;
 
 void
 packCacheParams(ByteWriter &w, const uarch::CacheParams &c)
@@ -358,7 +358,6 @@ packSimConfig(ByteWriter &w, const SimConfig &cfg)
     w.u64(cfg.btu.sets);
     w.u64(cfg.btu.ways);
     w.u32(cfg.btu.fillLatency);
-    w.u8(cfg.traceMode == TraceMode::Stream ? 1 : 0);
 }
 
 SimConfig
@@ -393,12 +392,6 @@ unpackSimConfig(ByteReader &r)
     cfg.btu.sets = static_cast<size_t>(r.u64());
     cfg.btu.ways = static_cast<size_t>(r.u64());
     cfg.btu.fillLatency = r.u32();
-    const uint8_t mode = r.u8();
-    if (mode > 1)
-        throw ArtifactFormatError("shard manifest has trace-mode byte " +
-                                  std::to_string(mode) +
-                                  ", expected 0 or 1");
-    cfg.traceMode = mode ? TraceMode::Stream : TraceMode::Whole;
     // A hostile manifest must not reach the timing model with a
     // geometry that divides by zero or never retires an op.
     const std::string bad = invalidGeometryKey(cfg);

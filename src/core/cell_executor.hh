@@ -18,7 +18,7 @@
  *  - SubprocessExecutor (core/subprocess_executor.hh) is the one
  *    out-of-process backend (ExecutionMode::Subprocess). It partitions
  *    the cells into shards with the LPT scheduler below, spawns one
- *    agent per shard, ships each shard as a CASSSM3 manifest plus the
+ *    agent per shard, ships each shard as a CASSSM4 manifest plus the
  *    CASSAW4 snapshots it needs through a private drop box, and
  *    merges the agents' CASSCR1 result sets back by global cell
  *    index, so any shard partition — and any completion order —
@@ -196,14 +196,13 @@ struct ShardManifest
     std::vector<PlannedCell> cells;
 };
 
-/** Serialize a manifest (magic "CASSSM3\n"). */
+/** Serialize a manifest (magic "CASSSM4\n"). */
 std::vector<uint8_t> packShardManifest(const ShardManifest &manifest);
 
 /**
- * Parse CASSSM3 bytes back into a manifest.
- * @throws ArtifactFormatError on bad magic/version, a trace-mode
- *         byte other than 0/1 or a zero geometry field
- *         (invalidGeometryKey),
+ * Parse CASSSM4 bytes back into a manifest.
+ * @throws ArtifactFormatError on bad magic/version or a zero
+ *         geometry field (invalidGeometryKey),
  *         std::invalid_argument on truncated or inconsistent bytes.
  */
 ShardManifest unpackShardManifest(const std::vector<uint8_t> &bytes);

@@ -13,6 +13,7 @@
 
 #include "core/analysis_pipeline.hh"
 #include "core/cell_executor.hh"
+#include "core/paper_figures.hh"
 #include "core/result_store.hh"
 #include "core/trace_stream.hh"
 
@@ -232,15 +233,10 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     }
 
     // Resolve one artifact per distinct workload (analyze() dedups),
-    // noting the phases the matrices' schemes consume, and streaming
-    // the traces when any cell config asks for it.
+    // noting the phases the matrices' schemes consume.
     const AnalysisPhaseMask phases = neededPhases(matrices);
-    TraceMode mode = cache_->options().traceMode;
-    for (const ExperimentMatrix &matrix : matrices)
-        for (const SimConfig &c : matrix.configs)
-            if (c.traceMode == TraceMode::Stream)
-                mode = TraceMode::Stream;
     Experiment exp;
+    exp.workloads = names;
     // Pipeline counters are process-wide cumulative; the telemetry of
     // one dispatch is the delta across it.
     const uint64_t fused_base = fusedAnalysisPasses();
@@ -252,7 +248,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // that do simulate run in the executor, after the store filter
     // below.
     std::vector<AnalyzedWorkload::Ptr> artifacts =
-        analyze(names, 0, mode);
+        analyze(names, 0, cache_->options().traceMode);
     for (size_t i = 0; i < names.size(); i++)
         exp.artifacts.emplace(names[i], artifacts[i]);
 
@@ -883,17 +879,42 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
     os << "\n}\n";
 }
 
+namespace {
+
+template <class R>
+std::unique_ptr<Reporter>
+makeFormat()
+{
+    return std::make_unique<R>();
+}
+
+} // namespace
+
 std::unique_ptr<Reporter>
 makeReporter(const std::string &format)
 {
-    if (format == "table")
-        return std::make_unique<TableReporter>();
-    if (format == "json")
-        return std::make_unique<JsonReporter>();
-    if (format == "csv")
-        return std::make_unique<CsvReporter>();
+    static const std::pair<const char *, std::unique_ptr<Reporter> (*)()>
+        formats[] = {
+            {"table", makeFormat<TableReporter>},
+            {"json", makeFormat<JsonReporter>},
+            {"csv", makeFormat<CsvReporter>},
+            {"fig7", makeFormat<Fig7Reporter>},
+            {"fig8", makeFormat<Fig8Reporter>},
+            {"fig9", makeFormat<Fig9Reporter>},
+            {"table1", makeFormat<Table1Reporter>},
+            {"ablation_btu", makeFormat<AblationBtuReporter>},
+            {"q3", makeFormat<Q3Reporter>},
+            {"q4", makeFormat<Q4Reporter>},
+        };
+    std::string names;
+    for (const auto &[name, make] : formats) {
+        if (format == name)
+            return make();
+        names += names.empty() ? "" : ", ";
+        names += name;
+    }
     throw std::invalid_argument("unknown report format \"" + format +
-                                "\" (expected table, json or csv)");
+                                "\" (expected one of " + names + ")");
 }
 
 } // namespace cassandra::core

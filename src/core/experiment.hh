@@ -178,6 +178,13 @@ struct Experiment
 {
     std::vector<CellResult> cells;
 
+    /**
+     * The matrices' workload names in matrix order, one entry per
+     * matrix row — also for a sweep with no schemes, which analyzes
+     * its workloads without running any cell (Table 1).
+     */
+    std::vector<std::string> workloads;
+
     /** Cache/schedule observability of the run that produced this
      * experiment (not serialized by any Reporter). */
     RunTelemetry telemetry;
@@ -353,9 +360,8 @@ class ExperimentRunner
      * execute concurrently over the shared artifacts, each as soon
      * as its workload's phases are done; the
      * returned cells are in matrix order and bit-identical for any
-     * thread count. Any cell config requesting TraceMode::Stream makes
-     * the analysis spill its traces to disk (artifacts are shared per
-     * workload, so one streaming cell streams the whole workload).
+     * thread count. Traces are stored in the cache's trace mode
+     * (AnalyzeOptions::traceMode, one setting for the whole run).
      * Worker exceptions (e.g. unknown workload names) are rethrown
      * here.
      */
@@ -463,7 +469,9 @@ class CsvReporter : public Reporter
 };
 
 /**
- * Reporter by format name: "table", "json" or "csv".
+ * Reporter by format name — the one list of report formats: "table",
+ * "json", "csv", or a paper figure's name ("fig7", "fig8", "fig9",
+ * "table1", "ablation_btu", "q3", "q4"; core/paper_figures.hh).
  * @throws std::invalid_argument on anything else.
  */
 std::unique_ptr<Reporter> makeReporter(const std::string &format);

@@ -37,16 +37,6 @@ struct JsonValue
     std::string string;
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        for (const auto &[k, v] : object) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
 };
 
 class JsonParser
@@ -462,24 +452,12 @@ applyBtuOverrides(btu::BtuParams &btu, const JsonValue &v,
     }
 }
 
-TraceMode
-parseTraceMode(const JsonValue &v, const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::String, where, "a string");
-    try {
-        return traceModeFromName(v.string);
-    } catch (const std::invalid_argument &e) {
-        schemaFail(where, e.what());
-    }
-}
-
 SimConfig
-parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode)
+parseSimConfig(const JsonValue &v, size_t index)
 {
     const std::string where = "configs[" + std::to_string(index) + "]";
     expectKind(v, JsonValue::Kind::Object, where, "an object");
     SimConfig cfg;
-    cfg.traceMode = sweep_mode;
     for (const auto &[key, field] : v.object) {
         const std::string at = where + "." + key;
         if (key == "name") {
@@ -489,8 +467,6 @@ parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode)
             applyCoreOverrides(cfg.core, field, at);
         } else if (key == "btu") {
             applyBtuOverrides(cfg.btu, field, at);
-        } else if (key == "trace_mode") {
-            cfg.traceMode = parseTraceMode(field, at);
         } else {
             schemaFail(at, "unknown config key");
         }
@@ -511,16 +487,15 @@ parseExperimentSpec(const std::string &json)
         schemaFail("top level", "expected an object");
 
     ExperimentSpec spec;
-    // The sweep-level trace mode seeds every config's field, so
-    // resolve it before the configs array (JSON key order must not
-    // matter).
-    if (const JsonValue *tm = root.get("trace_mode")) {
-        spec.traceMode = parseTraceMode(*tm, "trace_mode");
-        spec.traceModeSet = true;
-    }
+    bool schemes_listed = false;
     for (const auto &[key, v] : root.object) {
         if (key == "trace_mode") {
-            // handled above
+            expectKind(v, JsonValue::Kind::String, key, "a string");
+            try {
+                spec.traceMode = traceModeFromName(v.string);
+            } catch (const std::invalid_argument &e) {
+                schemaFail(key, e.what());
+            }
         } else if (key == "name") {
             expectKind(v, JsonValue::Kind::String, key, "a string");
             spec.name = v.string;
@@ -529,6 +504,7 @@ parseExperimentSpec(const std::string &json)
         } else if (key == "suites") {
             spec.suites = stringList(v, key);
         } else if (key == "schemes") {
+            schemes_listed = true;
             for (const std::string &name : stringList(v, key))
                 spec.matrix.schemes.push_back(
                     uarch::schemeFromName(name));
@@ -536,7 +512,7 @@ parseExperimentSpec(const std::string &json)
             expectKind(v, JsonValue::Kind::Array, key, "an array");
             for (size_t i = 0; i < v.array.size(); i++)
                 spec.matrix.configs.push_back(
-                    parseSimConfig(v.array[i], i, spec.traceMode));
+                    parseSimConfig(v.array[i], i));
         } else if (key == "threads") {
             spec.threads =
                 static_cast<unsigned>(uintField(v, key, 1024));
@@ -547,6 +523,11 @@ parseExperimentSpec(const std::string &json)
                 if (rkey == "format") {
                     expectKind(rv, JsonValue::Kind::String, at,
                                "a string");
+                    try {
+                        makeReporter(rv.string);
+                    } catch (const std::invalid_argument &e) {
+                        schemaFail(at, e.what());
+                    }
                     spec.format = rv.string;
                 } else if (rkey == "out") {
                     expectKind(rv, JsonValue::Kind::String, at,
@@ -573,11 +554,9 @@ parseExperimentSpec(const std::string &json)
                     } catch (const std::invalid_argument &e) {
                         schemaFail(at, e.what());
                     }
-                    spec.executionModeSet = true;
                 } else if (ekey == "shards") {
                     spec.shards = static_cast<unsigned>(
                         uintField(ev, at, 1024));
-                    spec.shardsSet = true;
                 } else if (ekey == "worker_binary") {
                     expectKind(ev, JsonValue::Kind::String, at,
                                "a string");
@@ -598,14 +577,12 @@ parseExperimentSpec(const std::string &json)
                     } catch (const std::invalid_argument &e) {
                         schemaFail(at, e.what());
                     }
-                    spec.cacheModeSet = true;
                 } else if (ckey == "dir") {
                     expectKind(cv, JsonValue::Kind::String, at,
                                "a string");
                     spec.cacheDir = cv.string;
                 } else if (ckey == "gc_mb") {
                     spec.cacheGcMb = uintField(cv, at, 1ull << 32);
-                    spec.cacheGcMbSet = true;
                 } else {
                     schemaFail(at, "unknown cache key");
                 }
@@ -631,25 +608,14 @@ parseExperimentSpec(const std::string &json)
         }
     }
 
-    // A sweep-level stream request must reach the runner even without
-    // an explicit configs array (the runner's implicit default config
-    // would otherwise run whole-trace).
-    if (spec.traceModeSet && spec.matrix.configs.empty()) {
-        SimConfig cfg;
-        cfg.traceMode = spec.traceMode;
-        spec.matrix.configs.push_back(cfg);
-    }
-
     if (spec.matrix.workloads.empty() && spec.suites.empty())
         schemaFail("workloads",
                    "config selects no workloads (and no suites)");
-    if (spec.matrix.schemes.empty())
-        schemaFail("schemes", "config lists no schemes");
-    if (!spec.format.empty() && spec.format != "table" &&
-        spec.format != "json" && spec.format != "csv")
-        schemaFail("report.format",
-                   "expected table, json or csv, got \"" + spec.format +
-                       "\"");
+    // "schemes": [] is an analysis-only sweep (Table 1): its
+    // workloads are analyzed and no cell runs.
+    if (!schemes_listed)
+        schemaFail("schemes", "config lists no schemes (an "
+                              "analysis-only sweep says \"schemes\": [])");
     return spec;
 }
 

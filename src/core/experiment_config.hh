@@ -5,9 +5,9 @@
  * An ExperimentSpec is everything one sweep needs — workload names
  * (and/or whole suites), protection schemes, SimConfig variants with
  * core/BTU parameter overrides, reporter settings, a thread count and
- * an optional artifact-cache directory — loaded from a JSON file via
- * the shared bench CLI's --config flag, so sweeps are shareable,
- * versionable artifacts:
+ * an optional artifact-cache directory — loaded from the JSON file
+ * run_experiment is given, so sweeps are shareable, versionable
+ * artifacts (configs/paper/ holds one per paper figure):
  *
  *   {
  *     "name": "fig7",
@@ -18,6 +18,7 @@
  *       {"name": "default"},
  *       {"name": "ways=4", "btu": {"sets": 1, "ways": 4}}
  *     ],
+ *     "trace_mode": "stream",
  *     "threads": 8,
  *     "report": {"format": "json", "out": "fig7.json"},
  *     "artifacts": {"dir": "aw-cache", "save": true},
@@ -54,7 +55,8 @@ struct ExperimentSpec
     std::vector<std::string> suites;
     /** Worker threads; 0 means decide in the runner. */
     unsigned threads = 0;
-    /** Reporter format; empty means the caller's default. */
+    /** Reporter format (any makeReporter name, e.g. "json" or
+     * "fig7"); empty means the caller's default. */
     std::string format;
     /** Report output path; empty means stdout. */
     std::string out;
@@ -63,14 +65,12 @@ struct ExperimentSpec
     /** Save freshly analyzed artifacts back into artifactDir. */
     bool artifactSave = false;
     /**
-     * Trace storage of every run of the sweep ("trace_mode": "whole"
-     * or "stream"; per-config overrides win). Stream mode spills
-     * timing traces to chunked files and replays them from disk, so
-     * peak memory stays flat regardless of trace length.
+     * Trace storage of the whole sweep ("trace_mode": "whole" or
+     * "stream"; a sweep-level key only). Stream mode spills timing
+     * traces to chunked files and replays them from disk, so peak
+     * memory stays flat regardless of trace length.
      */
     TraceMode traceMode = TraceMode::Whole;
-    /** Whether the config spelled trace_mode (CLI default handling). */
-    bool traceModeSet = false;
     /**
      * Cell execution backend ("execution": {"mode":
      * "inprocess" | "subprocess"}). Subprocess mode shards
@@ -78,12 +78,8 @@ struct ExperimentSpec
      * over a private drop box.
      */
     ExecutionMode executionMode = ExecutionMode::InProcess;
-    /** Whether the config spelled execution.mode. */
-    bool executionModeSet = false;
     /** Shard count for subprocess execution; 0 = runner decides. */
     unsigned shards = 0;
-    /** Whether the config spelled execution.shards. */
-    bool shardsSet = false;
     /** Agent binary for subprocess execution; empty = caller's
      * default (run_experiment uses itself). */
     std::string workerBinary;
@@ -93,16 +89,12 @@ struct ExperimentSpec
      * persists fresh results; Readonly consults without writing.
      */
     CacheMode cacheMode = CacheMode::Off;
-    /** Whether the config spelled cache.mode. */
-    bool cacheModeSet = false;
     /** Result-store directory ("cache": {"dir": ...}); empty =
      * the runner's default ("result-cache"). */
     std::string cacheDir;
     /** Result-store disk budget in MiB ("cache": {"gc_mb": N});
      * 0 leaves the store unbounded. */
     uint64_t cacheGcMb = 0;
-    /** Whether the config spelled cache.gc_mb. */
-    bool cacheGcMbSet = false;
     /** Telemetry JSON path ("report": {"stats_out": ...}): the
      * cache_stats/schedule document; empty writes none. */
     std::string statsOut;

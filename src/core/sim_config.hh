@@ -40,7 +40,9 @@ namespace cassandra::core {
  * bytes/op resident). Stream spills it to a chunked trace file at
  * analysis time and replays it through a TraceCursor, so peak memory
  * stays at one frame regardless of trace length. Cycle results are
- * identical in both modes.
+ * identical in both modes. It is a run-level analysis setting
+ * (AnalyzeOptions::traceMode), not part of any SimConfig: one
+ * artifact serves every cell of its workload.
  */
 enum class TraceMode
 {
@@ -73,14 +75,6 @@ struct SimConfig
     uarch::Scheme scheme = uarch::Scheme::UnsafeBaseline;
     uarch::CoreParams core;
     btu::BtuParams btu;
-    /**
-     * Requested trace iteration mode. Cells that request Stream make
-     * the ExperimentRunner analyze their workloads in stream mode (the
-     * artifact's storage mode ultimately governs how Simulation::run
-     * iterates; one artifact is shared by every cell of a workload, so
-     * any streaming cell streams the whole workload).
-     */
-    TraceMode traceMode = TraceMode::Whole;
 
     /** Copy with a new report label. */
     SimConfig
@@ -125,15 +119,6 @@ struct SimConfig
     {
         SimConfig c = *this;
         c.core.btuFlushPeriod = period;
-        return c;
-    }
-
-    /** Copy under another trace iteration mode. */
-    SimConfig
-    withTraceMode(TraceMode mode) const
-    {
-        SimConfig c = *this;
-        c.traceMode = mode;
         return c;
     }
 };

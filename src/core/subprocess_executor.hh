@@ -6,7 +6,7 @@
  * Each execute() creates a fresh ArtifactStore box under
  * Options::scratchDir (empty = the temp directory), spawns one
  * `run_experiment --agent --inbox=BOX` process per shard into it, and
- * publishes CASSSM3 shard manifests plus the CASSAW4 snapshots they
+ * publishes CASSSM4 shard manifests plus the CASSAW4 snapshots they
  * reference. Agents claim tasks, execute them and publish CASSCR1
  * result sets back; results merge by global cell index:
  *

@@ -135,7 +135,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
                       .named("sweep");
     cell.config.core.robSize = 64;
     cell.config.core.l2.sizeBytes = 256 * 1024;
-    cell.config.traceMode = core::TraceMode::Stream;
     manifest.indices = {17};
     manifest.cells = {cell};
 
@@ -156,7 +155,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     EXPECT_EQ(c.config.core.robSize, 64u);
     EXPECT_EQ(c.config.core.l2.sizeBytes, 256u * 1024);
     EXPECT_EQ(c.config.core.btuFlushPeriod, 12000000u);
-    EXPECT_EQ(c.config.traceMode, core::TraceMode::Stream);
 }
 
 TEST(ShardManifestTest, CorruptManifestIsRejected)
@@ -180,16 +178,14 @@ TEST(ShardManifestTest, CorruptManifestIsRejected)
     std::vector<uint8_t> cut(bytes.begin(), bytes.end() - 7);
     EXPECT_THROW(core::unpackShardManifest(cut), std::invalid_argument);
 
-    // The trace-mode byte closes the last cell's config, so it is the
-    // manifest's final byte: only 0 (whole) and 1 (stream) are valid.
-    std::vector<uint8_t> bad_mode = bytes;
-    ASSERT_EQ(bad_mode.back(), 0u);
-    bad_mode.back() = 1;
-    EXPECT_EQ(core::unpackShardManifest(bad_mode).cells[0].config.traceMode,
-              core::TraceMode::Stream);
-    bad_mode.back() = 2;
-    EXPECT_THROW(core::unpackShardManifest(bad_mode),
-                 core::ArtifactFormatError);
+    // The retired CASSSM3 layout (a trace-mode byte after each
+    // config) is refused by its magic, never misread as CASSSM4.
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 8),
+              std::string("CASSSM4\n", 8));
+    std::vector<uint8_t> v3 = bytes;
+    v3[6] = '3';
+    v3.push_back(0);
+    EXPECT_THROW(core::unpackShardManifest(v3), core::ArtifactFormatError);
 }
 
 // ---------------------------------------------------------------------

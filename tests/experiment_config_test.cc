@@ -170,45 +170,6 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
     }
 }
 
-TEST(ExperimentConfigTest, TraceModeParses)
-{
-    // Sweep-level trace_mode seeds every config; per-config overrides
-    // win; the default is whole-trace.
-    ExperimentSpec plain = parseExperimentSpec(
-        R"({"workloads": ["A"], "schemes": ["SPT"]})");
-    EXPECT_FALSE(plain.traceModeSet);
-    EXPECT_EQ(plain.traceMode, core::TraceMode::Whole);
-    EXPECT_TRUE(plain.matrix.configs.empty());
-
-    ExperimentSpec spec = parseExperimentSpec(R"({
-      "workloads": ["A"],
-      "schemes": ["SPT"],
-      "configs": [
-        {"name": "inherits"},
-        {"name": "whole", "trace_mode": "whole"}
-      ],
-      "trace_mode": "stream"
-    })");
-    EXPECT_TRUE(spec.traceModeSet);
-    ASSERT_EQ(spec.matrix.configs.size(), 2u);
-    EXPECT_EQ(spec.matrix.configs[0].traceMode, core::TraceMode::Stream);
-    EXPECT_EQ(spec.matrix.configs[1].traceMode, core::TraceMode::Whole);
-
-    // A sweep-level stream request materializes the implicit default
-    // config so it reaches the runner.
-    ExperimentSpec implicit = parseExperimentSpec(
-        R"({"workloads": ["A"], "schemes": ["SPT"],
-            "trace_mode": "stream"})");
-    ASSERT_EQ(implicit.matrix.configs.size(), 1u);
-    EXPECT_EQ(implicit.matrix.configs[0].traceMode,
-              core::TraceMode::Stream);
-
-    EXPECT_THROW(parseExperimentSpec(
-                     R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "trace_mode": "chunked"})"),
-                 std::invalid_argument);
-}
-
 /** The schema error parseExperimentSpec raises for `json`, or "". */
 std::string
 schemaError(const std::string &json)
@@ -219,6 +180,69 @@ schemaError(const std::string &json)
         return e.what();
     }
     return "";
+}
+
+TEST(ExperimentConfigTest, TraceModeIsSweepLevelOnly)
+{
+    // One run-level setting, whole-trace by default; a stream sweep
+    // keeps the runner's implicit default config.
+    EXPECT_EQ(parseExperimentSpec(
+                  R"({"workloads": ["A"], "schemes": ["SPT"]})")
+                  .traceMode,
+              core::TraceMode::Whole);
+    ExperimentSpec spec = parseExperimentSpec(
+        R"({"workloads": ["A"], "schemes": ["SPT"],
+            "trace_mode": "stream"})");
+    EXPECT_EQ(spec.traceMode, core::TraceMode::Stream);
+    EXPECT_TRUE(spec.matrix.configs.empty());
+
+    // The retired per-config key is a schema error naming it.
+    const std::string per_config = schemaError(
+        R"({"workloads": ["A"], "schemes": ["SPT"],
+            "configs": [{"name": "x", "trace_mode": "stream"}]})");
+    EXPECT_NE(per_config.find("configs[0].trace_mode: unknown config key"),
+              std::string::npos)
+        << per_config;
+    EXPECT_NE(schemaError(R"({"workloads": ["A"], "schemes": ["SPT"],
+                              "trace_mode": "chunked"})"),
+              "");
+}
+
+TEST(ExperimentConfigTest, ReportFormatsComeFromMakeReporter)
+{
+    // Every reporter name is a valid report.format, the paper figures
+    // included, and nothing else is.
+    for (const char *format : {"table", "json", "csv", "fig7", "fig8",
+                               "fig9", "table1", "ablation_btu", "q3",
+                               "q4"}) {
+        EXPECT_NE(core::makeReporter(format), nullptr) << format;
+        EXPECT_EQ(parseExperimentSpec(
+                      std::string(R"({"workloads": ["A"],
+                                      "schemes": ["SPT"],
+                                      "report": {"format": ")") +
+                      format + "\"}}")
+                      .format,
+                  format);
+    }
+    const std::string error = schemaError(
+        R"({"workloads": ["A"], "schemes": ["SPT"],
+            "report": {"format": "yaml"}})");
+    EXPECT_NE(error.find("report.format: unknown report format \"yaml\" "
+                         "(expected one of table, json, csv, fig7"),
+              std::string::npos)
+        << error;
+}
+
+TEST(ExperimentConfigTest, EmptySchemesIsAnAnalysisOnlySweep)
+{
+    ExperimentSpec spec = parseExperimentSpec(
+        R"({"suites": ["PQC"], "schemes": []})");
+    EXPECT_TRUE(spec.matrix.schemes.empty());
+    EXPECT_EQ(spec.matrix.cellCount(), 0u);
+    // Leaving the key out is still an error.
+    EXPECT_NE(schemaError(R"({"suites": ["PQC"]})")
+                  .find("schemes: config lists no schemes"),
+              std::string::npos);
 }
 
 TEST(ExperimentConfigTest, TraceCompressionKeyIsRejected)
@@ -362,7 +386,6 @@ TEST(ExperimentConfigTest, CacheSettingsParse)
     // Defaults: cache off, nothing spelled.
     ExperimentSpec plain = parseExperimentSpec(
         R"({"workloads": ["A"], "schemes": ["SPT"]})");
-    EXPECT_FALSE(plain.cacheModeSet);
     EXPECT_EQ(plain.cacheMode, core::CacheMode::Off);
     EXPECT_TRUE(plain.cacheDir.empty());
     EXPECT_TRUE(plain.statsOut.empty());
@@ -374,7 +397,6 @@ TEST(ExperimentConfigTest, CacheSettingsParse)
       "cache": {"mode": "on", "dir": "my-cache"},
       "report": {"format": "json", "stats_out": "stats.json"}
     })");
-    EXPECT_TRUE(spec.cacheModeSet);
     EXPECT_EQ(spec.cacheMode, core::CacheMode::On);
     EXPECT_EQ(spec.cacheDir, "my-cache");
     EXPECT_EQ(spec.statsOut, "stats.json");
@@ -426,6 +448,94 @@ TEST(ExperimentConfigTest, LoadFromFile)
 
     EXPECT_THROW(core::loadExperimentSpec(path + ".missing"),
                  std::runtime_error);
+}
+
+/** bench::parseCli over a literal argument list. */
+ExperimentSpec
+parseArgs(std::vector<const char *> argv)
+{
+    return bench::parseCli(static_cast<int>(argv.size()),
+                           const_cast<char **>(argv.data()));
+}
+
+TEST(ExperimentConfigTest, CliFlagsWriteIntoTheLoadedConfig)
+{
+    const std::string path = testing::TempDir() + "/cli_config.json";
+    {
+        std::ofstream file(path);
+        file << R"({"suites": ["PQC"], "schemes": ["Cassandra"],
+                    "threads": 2, "trace_mode": "stream",
+                    "report": {"format": "fig7", "out": "a.txt"},
+                    "execution": {"mode": "subprocess", "shards": 3},
+                    "cache": {"mode": "readonly", "dir": "c",
+                              "gc_mb": 5}})";
+    }
+    // Without flags the config stands; its suites become names.
+    ExperimentSpec spec = parseArgs({"run_experiment", path.c_str()});
+    EXPECT_EQ(spec.matrix.workloads,
+              crypto::WorkloadRegistry::global().names("PQC"));
+    EXPECT_TRUE(spec.suites.empty());
+    EXPECT_EQ(spec.threads, 2u);
+    EXPECT_EQ(spec.traceMode, core::TraceMode::Stream);
+    EXPECT_EQ(spec.format, "fig7");
+    EXPECT_EQ(spec.out, "a.txt");
+    EXPECT_EQ(spec.executionMode, core::ExecutionMode::Subprocess);
+    EXPECT_EQ(spec.shards, 3u);
+    EXPECT_EQ(spec.cacheMode, core::CacheMode::Readonly);
+    EXPECT_EQ(spec.cacheDir, "c");
+    EXPECT_EQ(spec.cacheGcMb, 5u);
+
+    // Every flag overrides its key, as --flag=VALUE or --flag VALUE.
+    spec = parseArgs({"run_experiment", "--format", "json",
+                      "--out=b.json", "--threads=4", "--trace-mode",
+                      "whole", "--execution=inprocess", "--shards", "2",
+                      "--cache", "on", "--cache-dir", "d",
+                      "--cache-gc-mb=7", "--stats-out", "s.json",
+                      "--workloads", "kyber512,SHAKE", "--config",
+                      path.c_str()});
+    EXPECT_EQ(spec.matrix.workloads,
+              (std::vector<std::string>{"kyber512", "SHAKE"}));
+    EXPECT_EQ(spec.format, "json");
+    EXPECT_EQ(spec.out, "b.json");
+    EXPECT_EQ(spec.threads, 4u);
+    EXPECT_EQ(spec.traceMode, core::TraceMode::Whole);
+    EXPECT_EQ(spec.executionMode, core::ExecutionMode::InProcess);
+    EXPECT_EQ(spec.shards, 2u);
+    EXPECT_EQ(spec.cacheMode, core::CacheMode::On);
+    EXPECT_EQ(spec.cacheDir, "d");
+    EXPECT_EQ(spec.cacheGcMb, 7u);
+    EXPECT_EQ(spec.statsOut, "s.json");
+
+    // --suite filters the config's list.
+    spec = parseArgs({"run_experiment", path.c_str(), "--suite=PQC",
+                      "--format=q4"});
+    EXPECT_EQ(spec.matrix.workloads.size(),
+              crypto::WorkloadRegistry::global().names("PQC").size());
+    EXPECT_EQ(spec.format, "q4");
+}
+
+TEST(ExperimentConfigDeathTest, BadCliValuesExit2)
+{
+    const std::string path = testing::TempDir() + "/cli_bad_config.json";
+    {
+        std::ofstream file(path);
+        file << R"({"workloads": ["SHAKE"], "schemes": ["Cassandra"]})";
+    }
+    const std::vector<std::pair<const char *, const char *>> cases = {
+        {"--format=yaml", "unknown report format"},
+        {"--threads=x", "invalid --threads=x"},
+        {"--shards=0", "invalid --shards=0"},
+        {"--cache=maybe", "unknown cache mode"},
+        {"--workloads=nope", "unknown workload: nope"},
+        {"--suite=PQC", "no workloads selected"},
+        {"--out", "missing option value: --out"},
+    };
+    for (const auto &[flag, message] : cases)
+        EXPECT_EXIT(parseArgs({"run_experiment", path.c_str(), flag}),
+                    ::testing::ExitedWithCode(2), message)
+            << flag;
+    EXPECT_EXIT(parseArgs({"run_experiment", "--threads=2"}),
+                ::testing::ExitedWithCode(2), "usage: ");
 }
 
 } // namespace

@@ -195,10 +195,6 @@ TEST(ResultStoreKeyTest, PresentationKnobsDoNotChangeTheHash)
     SimConfig named = SimConfig{}.named("some-report-label");
     EXPECT_EQ(core::canonicalSimConfigHash(named), base);
 
-    SimConfig streamed;
-    streamed.traceMode = core::TraceMode::Stream;
-    EXPECT_EQ(core::canonicalSimConfigHash(streamed), base);
-
     // The scheme field of the config is keyed separately (the matrix
     // scheme replaces it per cell), so it must not leak into the
     // config hash.

@@ -281,22 +281,21 @@ TEST(StreamSnapshotTest, EmbeddedCasstf1IsEvictedAndReanalyzed)
     // artifact cache then deletes it, re-analyzes, saves a fresh
     // snapshot, and the report is byte-identical.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    bench::CliOptions opts;
-    opts.traceMode = TraceMode::Stream;
-    opts.traceModeExplicit = true;
-    opts.artifactDir = testing::TempDir() + "/snap-casstf1";
-    opts.artifactSave = true;
-    opts.threads = 2;
-    core::ExperimentMatrix m;
-    m.workloads = {"ChaCha20_ct"};
-    m.schemes = {uarch::Scheme::UnsafeBaseline, uarch::Scheme::Cassandra};
+    core::ExperimentSpec spec;
+    spec.traceMode = TraceMode::Stream;
+    spec.artifactDir = testing::TempDir() + "/snap-casstf1";
+    spec.artifactSave = true;
+    spec.threads = 2;
+    spec.matrix.workloads = {"ChaCha20_ct"};
+    spec.matrix.schemes = {uarch::Scheme::UnsafeBaseline,
+                           uarch::Scheme::Cassandra};
     auto report = [&] {
         std::ostringstream os;
-        core::JsonReporter().write(bench::runMatrix(m, opts), os);
+        core::JsonReporter().write(bench::runExperiment(spec), os);
         return os.str();
     };
     const std::string path =
-        bench::artifactPath(opts.artifactDir, "ChaCha20_ct");
+        bench::artifactPath(spec.artifactDir, "ChaCha20_ct");
     std::remove(path.c_str());
     const std::string want = report(); // analyzes and saves `path`
 

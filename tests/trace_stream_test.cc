@@ -751,11 +751,9 @@ TEST(TraceStreamTest, StreamConfigRunsThroughRunnerIdentically)
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto whole = ExperimentRunner(resolver, RunnerOptions{2}).run(m);
 
-    // Same matrix, but every config requests streaming.
-    SimConfig cfg;
-    cfg.traceMode = TraceMode::Stream;
-    m.configs = {cfg};
+    // Same matrix, but the run streams its traces.
     AnalyzeOptions analyze;
+    analyze.traceMode = TraceMode::Stream;
     analyze.streamDir = testing::TempDir() + "/stream-runner";
     auto streamed =
         ExperimentRunner(resolver, RunnerOptions{2, analyze}).run(m);
